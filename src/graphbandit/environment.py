@@ -28,7 +28,6 @@ __all__ = [
     "realize_feedback",
     "run_episode",
     "empirical_regret",
-    "episode_streams",
 ]
 
 LOSS_STREAM, FEEDBACK_STREAM, LEARNER_STREAM, PROBS_STREAM = range(4)
@@ -37,10 +36,6 @@ LOSS_STREAM, FEEDBACK_STREAM, LEARNER_STREAM, PROBS_STREAM = range(4)
 def substream(seed, key: int) -> np.random.Generator:
     """Counter-based generator for one of the per-seed sub-streams."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
-
-
-def episode_streams(seed) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    return substream(seed, LOSS_STREAM), substream(seed, FEEDBACK_STREAM), substream(seed, LEARNER_STREAM)
 
 
 @dataclass(frozen=True)
@@ -222,8 +217,8 @@ def run_episode(
     table = np.asarray(table, dtype=float)
     if table.shape != (horizon, graph.num_experts):
         raise ContractError(f"adversary produced shape {table.shape}, expected {(horizon, graph.num_experts)}")
-    if (table < 0).any() or (table > 1).any():
-        raise ContractError("adversary produced losses outside [0, 1]")
+    if not np.isfinite(table).all() or (table < 0).any() or (table > 1).any():
+        raise ContractError("adversary produced losses outside [0, 1] or non-finite")
 
     incurred = np.empty(horizon)
     chosen = np.empty(horizon, dtype=np.int64)

@@ -26,6 +26,10 @@ from .policies import _resample_trials, observation_probs
 
 __all__ = ["MomentCheck", "ip_estimator_checks", "resampling_checks", "default_suite"]
 
+# Repetitions per resampling-kernel call; the kernel's (n, M) temporaries
+# stay small while a chunk's uniforms are drawn in one piece.
+_TRIAL_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class MomentCheck:
@@ -121,15 +125,20 @@ def resampling_checks(
     """
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    probs = np.array([1.0])  # point-mass selection on the single expert
-    in_positions = np.array([0])
+    cum = np.array([1.0])  # point-mass selection on the single expert
     sum_q = sum_q2 = 0.0
     sum_l = sum_l2 = 0.0
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
-        buffers = (rng.random((m, 1, window)) < q).astype(np.uint8)
-        trials = _resample_trials(probs, in_positions, buffers, rng).astype(float)
+        windows = (rng.random((m, window)) < q).astype(np.uint8)
+        uniforms = rng.random((m, window))
+        keys = rng.random((m, window))
+        trials = np.empty(m)
+        for lo in range(0, m, _TRIAL_BLOCK):
+            block = slice(lo, lo + _TRIAL_BLOCK)
+            row_of = np.arange(keys[block].shape[0])[:, None]  # repetition i reads window row i
+            trials[block] = _resample_trials(cum, uniforms[block], row_of, keys[block], windows[block])
         observed = rng.random(m) < q
         est = trials * loss * observed
         sum_q += trials.sum()

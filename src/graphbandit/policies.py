@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +106,30 @@ def _check_eta(eta: float) -> float:
     return float(eta)
 
 
+@dataclass(frozen=True)
+class _GraphTable:
+    """The per-round quantities that depend only on one (graph, table,
+    dominating set) triple, computed once for it."""
+
+    masked: np.ndarray  # edge probabilities, 0 on non-edges
+    dom: np.ndarray  # 0-based dominating-set positions
+    dom_share: np.ndarray  # each member's share of the expected observations
+
+    @classmethod
+    def build(cls, graph: NominalGraph, probs: EdgeProbabilityTable, dominating: VertexSet) -> "_GraphTable":
+        masked = np.where(graph.adjacency, probs.probs, 0.0)
+        expected = masked.sum(axis=1)
+        dom = _positions(dominating)
+        total = expected[dom].sum()
+        if total <= 0:
+            raise InvariantError("dominating set has zero expected observations")
+        return cls(masked=masked, dom=dom, dom_share=expected[dom] / total)
+
+
+def _positions(members: VertexSet) -> np.ndarray:
+    return np.fromiter((i - 1 for i in members), dtype=np.int64, count=len(members))
+
+
 def exp3ip_pmf(
     weights: WeightVector,
     eta: float,
@@ -120,31 +143,34 @@ def exp3ip_pmf(
     dominating set proportionally to each member's expected number of
     revealed losses.
     """
+    return _informed_pmf(weights, eta, _GraphTable.build(graph, probs, dominating))
+
+
+def _informed_pmf(weights: WeightVector, eta: float, table: _GraphTable) -> Pmf:
     eta = _check_eta(eta)
     base = weights.normalized()
-    if base.size != graph.num_experts:
+    if base.size != table.masked.shape[0]:
         raise ValueError("weight vector and graph disagree on the number of experts")
-    expected = np.where(graph.adjacency, probs.probs, 0.0).sum(axis=1)
-    dom = np.fromiter((i - 1 for i in dominating), dtype=np.int64, count=len(dominating))
-    total = expected[dom].sum()
-    if total <= 0:
-        raise InvariantError("dominating set has zero expected observations")
     out = (1.0 - eta) * base
-    out[dom] += eta * (expected[dom] / total)
+    out[table.dom] += eta * table.dom_share
     return Pmf(out)
 
 
 def exp3up_pmf(weights: WeightVector, eta: float, dominating: VertexSet) -> Pmf:
     """Selection distribution for the uninformative setting: exploration mass
     is spread uniformly over the dominating set."""
-    eta = _check_eta(eta)
     if len(dominating) == 0:
         raise ValueError("dominating set must be non-empty")
-    out = (1.0 - eta) * weights.normalized()
-    dom = np.fromiter((i - 1 for i in dominating), dtype=np.int64, count=len(dominating))
-    if dom.max() >= out.size:
+    dom = _positions(dominating)
+    if dom.max() >= len(weights):
         raise ValueError("dominating set references an expert outside the weight vector")
-    out[dom] += eta / len(dominating)
+    return _uniform_mix_pmf(weights, eta, dom)
+
+
+def _uniform_mix_pmf(weights: WeightVector, eta: float, dom: np.ndarray) -> Pmf:
+    eta = _check_eta(eta)
+    out = (1.0 - eta) * weights.normalized()
+    out[dom] += eta / dom.size
     return Pmf(out)
 
 
@@ -237,14 +263,31 @@ def estimated_observation_prob(
         raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
     if min_observations < 1:
         raise ValueError("min_observations must be >= 1")
-    in_mask = graph.adjacency[:, i - 1]
-    if (state.counts[:, i - 1][in_mask] < min_observations).any():
+    targets = np.array([i - 1])
+    return float(_inflated_observation_probs(pmf, graph, state, confidence_width, min_observations, targets)[0])
+
+
+def _inflated_observation_probs(
+    pmf: Pmf,
+    graph: NominalGraph,
+    state: ProbabilityEstimatorState,
+    confidence_width: float,
+    min_observations: int,
+    targets: np.ndarray,
+) -> np.ndarray:
+    """estimated_observation_prob for every 0-based expert in ``targets`` at
+    once: one contiguous length-K row per target, summed along the row."""
+    in_mask = graph.adjacency.T[targets]
+    counts = state.counts.T[targets]
+    short = ((counts < min_observations) & in_mask).any(axis=1)
+    if short.any():
         raise PhaseOrderError(
-            f"an in-edge of expert {i} has fewer than {min_observations} samples; exploration is incomplete"
+            f"an in-edge of expert {targets[short.argmax()] + 1} has fewer than {min_observations} samples; "
+            "exploration is incomplete"
         )
     inflation = confidence_width / math.sqrt(min_observations)
-    phat = state.estimates[:, i - 1]
-    return float((pmf.probs * (phat + inflation) * in_mask).sum())
+    phat = np.where(counts > 0, state.sums.T[targets] / np.maximum(counts, 1), 0.0)
+    return (pmf.probs * (phat + inflation) * in_mask).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +296,16 @@ def estimated_observation_prob(
 
 
 class ResampleBuffer:
-    """Sliding window of recent edge activations, one ring buffer per edge.
+    """Sliding window of recent edge activations, one ring per edge.
 
-    An edge's buffer gains one sample whenever its source expert is chosen;
+    An edge's ring gains one sample whenever its source expert is chosen;
     during forced exploration the explored expert therefore feeds all of its
-    out-edges at once.
+    out-edges at once.  Edges are numbered in row-major order of the
+    adjacency matrix, and row e of one uint8 array is edge e's ring: with
+    n samples written, the next lands in column n mod capacity, so a full
+    ring overwrites its oldest sample.  The array is only as wide as the
+    fullest ring needs (it doubles on demand, up to the capacity), so its
+    size follows the samples held, not the capacity.
     """
 
     def __init__(self, graph: NominalGraph, capacity: int):
@@ -265,10 +313,24 @@ class ResampleBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._graph = graph
         self._capacity = int(capacity)
-        self._data: dict[tuple[int, int], deque] = {}
-        for i in range(graph.num_experts):
-            for j in np.flatnonzero(graph.adjacency[i]):
-                self._data[(i, int(j))] = deque(maxlen=self._capacity)
+        adjacency = graph.adjacency
+        self._sources, self._targets = np.nonzero(adjacency)
+        num_edges = self._sources.size
+        self._edge_id = np.full(adjacency.shape, -1, dtype=np.int64)
+        self._edge_id[self._sources, self._targets] = np.arange(num_edges)
+        # Resampling block layout per target: column 0 is its draw row, column
+        # 1 + d its in-edge from d.  The draw row carries the target's own
+        # self-loop, an in-edge it always has.
+        k = graph.num_experts
+        self._layout_mask = np.ones((k, k + 1), dtype=bool)
+        self._layout_mask[:, 1:] = adjacency.T
+        self._layout_edge = np.empty((k, k + 1), dtype=np.int64)
+        self._layout_edge[:, 0] = self._edge_id.diagonal()
+        self._layout_edge[:, 1:] = self._edge_id.T
+        self._ring = np.zeros((num_edges, 0), dtype=np.uint8)
+        # Samples written per edge since the ring last held them oldest-first
+        # from column 0; min(written, capacity) of them are held.
+        self._written = np.zeros(num_edges, dtype=np.int64)
 
     @property
     def capacity(self) -> int:
@@ -288,8 +350,23 @@ class ResampleBuffer:
         row = self._graph.adjacency[chosen - 1]
         if (realized & ~row).any():
             raise ContractError("activation reported for a non-edge")
-        for j in np.flatnonzero(row):
-            self._data[(chosen - 1, int(j))].append(int(realized[j]))
+        edges = self._edge_id[chosen - 1, row]
+        written = self._written[edges]
+        cols = written % self._capacity
+        self._widen(int(cols.max()) + 1)
+        self._ring[edges, cols] = realized[row]
+        self._written[edges] = written + 1
+
+    def _widen(self, width: int) -> None:
+        old = self._ring.shape[1]
+        if width <= old:
+            return
+        ring = np.zeros((self._ring.shape[0], min(self._capacity, max(width, 2 * old))), dtype=np.uint8)
+        ring[:, :old] = self._ring
+        self._ring = ring
+
+    def _held(self) -> np.ndarray:
+        return np.minimum(self._written, self._capacity)
 
     def grow(self, new_capacity: int) -> None:
         """Raise the window size, keeping existing samples; never shrinks."""
@@ -297,51 +374,112 @@ class ResampleBuffer:
             raise ValueError("resample buffers never shrink")
         if new_capacity == self._capacity:
             return
+        # A ring that has wrapped is rotated oldest-first into columns
+        # 0..capacity-1, where the larger ring continues it.
+        cap = self._capacity
+        for e in np.flatnonzero(self._written > cap):
+            self._ring[e, :cap] = np.roll(self._ring[e, :cap], -(self._written[e] % cap))
+        self._written = self._held()
         self._capacity = int(new_capacity)
-        self._data = {key: deque(old, maxlen=self._capacity) for key, old in self._data.items()}
 
     def is_full(self) -> bool:
-        return all(len(d) == self._capacity for d in self._data.values())
+        return bool((self._written >= self._capacity).all())
 
-    def fill_count(self, source: int, target: int) -> int:
-        """Number of buffered samples on the 1-based edge (source, target)."""
-        return len(self._data[(source - 1, target - 1)])
+    def resample_layout(self, targets0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of one resampling block for the 0-based ``targets0``: each
+        target takes a draw row, then one row per in-edge, sources ascending.
 
-    def edge_matrix(self, sources0: np.ndarray, target0: int, window: int) -> np.ndarray:
-        """The last ``window`` samples of each edge (source, target), stacked
-        as a (num_sources, window) 0/1 matrix.  Raises while underfull."""
-        rows = []
-        for s in sources0:
-            data = self._data[(int(s), int(target0))]
-            if len(data) < window:
-                raise PhaseOrderError(
-                    f"edge ({int(s) + 1}, {int(target0) + 1}) holds {len(data)} samples, needs {window}"
-                )
-            rows.append(list(data)[-window:])
-        return np.array(rows, dtype=np.uint8)
+        Returns the (n, K+1) mask of the rows each target takes (column 0 its
+        draw row, column 1 + d its in-edge from d) and the edge id behind
+        every row in block order.  A draw row is given the target's
+        self-loop, so the windows of all rows span only the targets' in-edges.
+        """
+        mask = self._layout_mask[targets0]
+        return mask, self._layout_edge[targets0][mask]
+
+    def edge_matrix(self, edges: np.ndarray, window: int) -> np.ndarray:
+        """The last ``window`` samples of each edge id in ``edges``, oldest
+        first, stacked as a (len(edges), window) 0/1 matrix.  Raises while
+        underfull."""
+        written = self._written[edges]
+        short = np.minimum(written, self._capacity) < window
+        if short.any():
+            e = edges[short.argmax()]
+            raise PhaseOrderError(
+                f"edge ({self._sources[e] + 1}, {self._targets[e] + 1}) holds {self._held()[e]} samples, "
+                f"needs {window}"
+            )
+        cols = (written[:, None] + np.arange(-window, 0)) % self._capacity
+        return self._ring[edges[:, None], cols]
+
+    def _edge_keys(self) -> list[str]:
+        return [f"{s + 1},{t + 1}" for s, t in zip(self._sources, self._targets)]
+
+    def samples(self) -> dict[str, list[int]]:
+        """Every edge's held samples, oldest first, keyed "source,target"
+        (1-based) in row-major edge order."""
+        return {
+            key: self._ring[e, (self._written[e] + np.arange(-held, 0)) % self._capacity].tolist()
+            for e, (key, held) in enumerate(zip(self._edge_keys(), self._held()))
+        }
+
+    @classmethod
+    def from_samples(cls, graph: NominalGraph, capacity: int, samples: dict) -> "ResampleBuffer":
+        """Rebuild a buffer from ``samples()`` output; a ring keeps at most
+        its last ``capacity`` samples.  A key that is not an edge raises KeyError."""
+        buffers = cls(graph, capacity)
+        edge_of = {key: e for e, key in enumerate(buffers._edge_keys())}
+        for key, values in samples.items():
+            e = edge_of[key]
+            values = values[-buffers._capacity :]
+            buffers._widen(len(values))
+            buffers._ring[e, : len(values)] = values
+            buffers._written[e] = len(values)
+        return buffers
 
 
-def _resample_trials(probs: np.ndarray, in_positions: np.ndarray, buffers: np.ndarray, rng) -> np.ndarray:
-    """Capped first-success trial counts, one per row of ``buffers``.
+def _resample_trials(
+    cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray, windows: np.ndarray
+) -> np.ndarray:
+    """Capped first-success trial counts, one per row of ``uniforms``.
 
-    ``buffers`` has shape (n, E, M): for each of n independent repetitions,
-    the M buffered activation samples of each of the E in-edges.  Trial u of a
-    repetition draws an expert from ``probs``; it succeeds when the draw is an
-    in-neighbor whose freshly permuted buffer shows an activation at slot u.
-    Returns min(first success, M) per repetition, in [1, M].
+    Row i of the (n, M) ``uniforms`` draws the experts of trials 1..M by
+    inverting ``cum``, the running sum of the selection pmf.  ``windows``
+    holds M buffered activation samples per row, and ``keys`` holds M
+    uniforms per window row; their argsort is that row's fresh permutation.
+    ``row_of[i, d]`` is the window row of the edge from expert d into row i's
+    target, or -1 when d is not an in-neighbour.  Trial u succeeds when its
+    draw is an in-neighbour whose permuted window shows an activation at
+    slot u.  Returns min(first success, M) per row, in [1, M].
     """
-    n, num_edges, m = buffers.shape
-    cum = np.cumsum(probs)
-    draws = np.minimum(np.searchsorted(cum, rng.random((n, m)), side="right"), probs.size - 1)
-    order = np.argsort(rng.random(buffers.shape), axis=-1)
-    shuffled = np.take_along_axis(buffers, order, axis=-1)
-    slot = np.full(probs.size, -1, dtype=np.int64)
-    slot[in_positions] = np.arange(num_edges)
-    s = slot[draws]
-    hit = np.where(s >= 0, shuffled[np.arange(n)[:, None], np.clip(s, 0, None), np.arange(m)[None, :]], 0).astype(bool)
-    found = hit.any(axis=1)
-    first = hit.argmax(axis=1) + 1
-    return np.where(found, first, m)
+    n, m = uniforms.shape
+    draws = np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)
+    rows = row_of[np.arange(n)[:, None], draws]
+    order = np.argsort(keys, axis=-1)
+    hit = windows[rows, order[rows, np.arange(m)]] & (rows >= 0)  # a -1 row reads the last row, then is masked
+    hit[:, -1] = 1  # no success in the first M-1 trials counts as M
+    return hit.argmax(axis=1) + 1
+
+
+def _resample_targets(
+    pmf: Pmf, buffers: ResampleBuffer, targets0: np.ndarray, window: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Geometric-resampling trial counts for every 0-based expert in
+    ``targets0``, in order, from one block of uniforms.
+
+    Target j takes M + E_j*M uniforms (M expert draws, then M permutation
+    keys for each of its E_j in-edges), the same values that one
+    geometric_resample call per target would draw in turn, because
+    ``Generator.random`` does not depend on how its output is chunked.
+    """
+    if targets0.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    mask, edges = buffers.resample_layout(targets0)
+    windows = buffers.edge_matrix(edges, window)  # raises before any draw
+    block_row = mask.ravel().cumsum().reshape(mask.shape) - 1
+    uniforms = rng.random(edges.size * window).reshape(edges.size, window)
+    row_of = np.where(mask[:, 1:], block_row[:, 1:], -1)
+    return _resample_trials(np.cumsum(pmf.probs), uniforms[block_row[:, 0]], row_of, uniforms, windows)
 
 
 def geometric_resample(
@@ -362,9 +500,11 @@ def geometric_resample(
     """
     if not 1 <= i <= graph.num_experts:
         raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    in_positions = np.flatnonzero(graph.adjacency[:, i - 1])
-    matrix = buffers.edge_matrix(in_positions, i - 1, min_observations)
-    return int(_resample_trials(pmf.probs, in_positions, matrix[None, :, :], rng)[0])
+    if min_observations < 1:
+        raise ValueError("min_observations must be >= 1")
+    if buffers.graph != graph:
+        raise ValueError("the buffers belong to a different graph")
+    return int(_resample_targets(pmf, buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
 def resampled_loss_estimate(loss: float, trials: int, observed: bool, cap: int | None = None) -> float:
@@ -475,12 +615,16 @@ class _LearnerBase:
     def _apply(self, feedback, extras):
         raise NotImplementedError
 
-    # -- realized edge activations ----------------------------------------
+    # -- observed losses ---------------------------------------------------
 
-    def _realized_row(self, feedback: FeedbackEvent) -> np.ndarray:
+    @staticmethod
+    def _observed_targets(feedback: FeedbackEvent) -> np.ndarray:
+        """The round's observed experts, 0-based, in feedback order."""
+        return np.fromiter((j - 1 for j, _ in feedback.observed), dtype=np.int64, count=len(feedback.observed))
+
+    def _realized_row(self, targets: np.ndarray) -> np.ndarray:
         realized = np.zeros(self._k, dtype=bool)
-        for j in feedback.observed_indices():
-            realized[j - 1] = True
+        realized[targets] = True
         return realized
 
     # -- snapshots ---------------------------------------------------------
@@ -552,7 +696,7 @@ class Exp3IP(_LearnerBase):
         if probs is None:
             raise ConfigError(f"{config.algorithm} needs the edge-probability table (informative setting)")
         super().__init__(config, graph, probs, seed)
-        self._dominating = greedy_dominating_set(graph)
+        self._table = _GraphTable.build(self._graph, self._probs, greedy_dominating_set(self._graph))
         self._doubling = DoublingState() if isinstance(config.schedule, DoublingSchedule) else None
 
     def _eta(self, t: int) -> float:
@@ -568,15 +712,15 @@ class Exp3IP(_LearnerBase):
         return graph, probs
 
     def _choose(self, t, graph, probs):
-        dominating = self._dominating if graph is self._graph else greedy_dominating_set(graph)
+        table = self._table if graph is self._graph else _GraphTable.build(graph, probs, greedy_dominating_set(graph))
         eta = self._eta(t)
-        pmf = exp3ip_pmf(self._weights, eta, graph, probs, dominating)
+        pmf = _informed_pmf(self._weights, eta, table)
         self._last_pmf = pmf
-        return sample_index(pmf, self._rng), (pmf, eta, graph, probs)
+        return sample_index(pmf, self._rng), (pmf, eta, table)
 
     def _apply(self, feedback, extras):
-        pmf, eta, graph, probs = extras
-        q = observation_probs(pmf, graph, probs)
+        pmf, eta, table = extras
+        q = pmf.probs @ table.masked
         estimates = np.zeros(self._k)
         for j, loss in feedback.observed:
             estimates[j - 1] = importance_loss_estimate(loss, q[j - 1], True)
@@ -649,6 +793,7 @@ class _UninformativeBase(_LearnerBase):
             raise ConfigError(f"{config.algorithm} runs uninformative; it must not receive the probability table")
         super().__init__(config, graph, None, seed)
         self._dominating = greedy_dominating_set(graph)
+        self._dom = _positions(self._dominating)
         self._explore_counts = np.zeros(self._k, dtype=np.int64)
         self._explore_cursor = 0
         self._epoch: int | None = None
@@ -681,7 +826,7 @@ class _UninformativeBase(_LearnerBase):
         if self._exploring():
             return self._next_exploration(), None
         eta = self._eta(t)
-        pmf = exp3up_pmf(self._weights, eta, self._dominating)
+        pmf = _uniform_mix_pmf(self._weights, eta, self._dom)
         self._last_pmf = pmf
         return sample_index(pmf, self._rng), (pmf, eta)
 
@@ -752,16 +897,17 @@ class Exp3UP(_UninformativeBase):
         self._restart(eta, min_obs)
 
     def _apply(self, feedback, extras):
-        realized = self._realized_row(feedback)
+        targets = self._observed_targets(feedback)
+        realized = self._realized_row(targets)
         if extras is None:  # exploration round: record samples, no weight update
             self._state.observe_row(feedback.chosen, realized)
             self._explore_counts[feedback.chosen - 1] += 1
             return
         pmf, eta = extras
+        q_hat = _inflated_observation_probs(pmf, self._graph, self._state, self._xi, self._min_obs, targets)
         estimates = np.zeros(self._k)
-        for j, loss in feedback.observed:
-            q_hat = estimated_observation_prob(pmf, self._graph, self._state, self._xi, self._min_obs, j)
-            estimates[j - 1] = importance_loss_estimate(loss, q_hat, True)
+        for (j, loss), q in zip(feedback.observed, q_hat.tolist()):
+            estimates[j - 1] = importance_loss_estimate(loss, q, True)
         self._state.observe_row(feedback.chosen, realized)
         if eta > 0:
             self._weights = exp_weight_update(self._weights, eta, estimates)
@@ -811,16 +957,17 @@ class Exp3GR(_UninformativeBase):
         self._buffers.grow(min_obs)
 
     def _apply(self, feedback, extras):
-        realized = self._realized_row(feedback)
+        targets = self._observed_targets(feedback)
+        realized = self._realized_row(targets)
         if extras is None:
             self._buffers.observe_row(feedback.chosen, realized)
             self._explore_counts[feedback.chosen - 1] += 1
             return
         pmf, eta = extras
+        trials = _resample_targets(pmf, self._buffers, targets, self._min_obs, self._rng)
         estimates = np.zeros(self._k)
-        for j, loss in feedback.observed:
-            trials = geometric_resample(j, pmf, self._graph, self._buffers, self._min_obs, self._rng)
-            estimates[j - 1] = resampled_loss_estimate(loss, trials, True, cap=self._min_obs)
+        for (j, loss), count in zip(feedback.observed, trials.tolist()):
+            estimates[j - 1] = resampled_loss_estimate(loss, count, True, cap=self._min_obs)
         self._buffers.observe_row(feedback.chosen, realized)  # window stays strictly pre-round
         if eta > 0:
             self._weights = exp_weight_update(self._weights, eta, estimates)
@@ -830,17 +977,14 @@ class Exp3GR(_UninformativeBase):
         extra.update(
             {
                 "capacity": self._buffers.capacity,
-                "buffers": {f"{i + 1},{j + 1}": list(d) for (i, j), d in self._buffers._data.items()},
+                "buffers": self._buffers.samples(),
             }
         )
         return extra
 
     def _restore_extra(self, extra):
         self._restore_base_extra(extra)
-        self._buffers = ResampleBuffer(self._graph, int(extra["capacity"]))
-        for key, samples in extra["buffers"].items():
-            i, j = (int(part) for part in key.split(","))
-            self._buffers._data[(i - 1, j - 1)].extend(int(s) for s in samples)
+        self._buffers = ResampleBuffer.from_samples(self._graph, int(extra["capacity"]), extra["buffers"])
 
 
 _REGISTRY = {cls.algorithm: cls for cls in (Exp3, Exp3Dom, Exp3IP, Exp3UP, Exp3GR)}

@@ -133,6 +133,22 @@ class TestRunEpisode:
         trace = run_episode(StubLearner(index=1), FixedTableAdversary(table), g, p, 10, seed=0)
         assert empirical_regret(trace) == pytest.approx(10.0)
 
+    def test_nan_loss_rejected_before_round_one(self):
+        # A custom adversary bypasses FixedTableAdversary's validation; a NaN
+        # in the last row must still stop the episode before any round runs.
+        class LateNanAdversary:
+            def materialize(self, horizon, num_experts, rng):
+                table = np.full((horizon, num_experts), 0.5)
+                table[-1, 1] = np.nan
+                return table
+
+        g = NominalGraph.complete(3)
+        p = EdgeProbabilityTable.constant(g, 0.5)
+        learner = StubLearner(index=1)
+        with pytest.raises(ContractError, match="outside"):
+            run_episode(learner, LateNanAdversary(), g, p, 500, seed=0)
+        assert learner.events == []
+
     def test_identical_seeds_identical_traces(self):
         g = NominalGraph.complete(3)
         p = EdgeProbabilityTable.constant(g, 0.5)
