@@ -88,8 +88,8 @@ class FixedTableAdversary:
 
     @classmethod
     def from_csv(cls, path) -> "FixedTableAdversary":
-        """Load a T x K loss table from CSV; a non-numeric first row is treated
-        as a header and skipped."""
+        """Load a T x K loss table from CSV; a non-numeric first row with no
+        empty cell is treated as a header and skipped."""
         path = Path(path)
         rows: list[list[float]] = []
         with path.open(newline="") as handle:
@@ -99,7 +99,7 @@ class FixedTableAdversary:
                 try:
                     rows.append([float(cell) for cell in row])
                 except ValueError:
-                    if lineno == 1:
+                    if lineno == 1 and all(cell.strip() for cell in row):
                         continue  # header
                     raise IngestError(f"{path}:{lineno}: non-numeric loss value") from None
         if not rows:
@@ -184,11 +184,11 @@ def realize_feedback(
     losses = np.asarray(losses, dtype=float)
     if losses.shape != (graph.num_experts,):
         raise ContractError(f"expected {graph.num_experts} losses, got shape {losses.shape}")
-    if not np.isfinite(losses).all() or (losses < 0).any() or (losses > 1).any():
+    if not (losses.min() >= 0 and losses.max() <= 1):  # NaN fails both
         raise ContractError("losses must lie in [0, 1]")
-    out = np.flatnonzero(graph.adjacency[chosen - 1])
-    fired = rng.random(out.size) < probs.probs[chosen - 1, out]
-    observed = tuple((int(j + 1), float(losses[j])) for j in out[fired])
+    out = graph.out_positions[chosen - 1]
+    fired = out[rng.random(out.size) < probs.probs[chosen - 1, out]]
+    observed = tuple(zip((fired + 1).tolist(), losses[fired].tolist()))
     return FeedbackEvent(t=t, chosen=chosen, observed=observed, incurred_loss=float(losses[chosen - 1]))
 
 

@@ -1,8 +1,13 @@
 """Shared numerical kernels: log-domain exponential weights, probability mass
-functions, importance-weighted loss estimates, and categorical sampling."""
+functions, importance-weighted loss estimates, and categorical sampling.
+
+Each per-round check costs O(1) numpy reductions.  A sum is finite when every
+entry is (unless finite entries overflow it), so the entry-wise finiteness
+scan runs only when the sum is not."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +36,15 @@ class Pmf:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("pmf must be a non-empty 1-d vector")
-        if not np.isfinite(probs).all():
-            raise InvariantError("pmf contains non-finite entries")
-        if probs.min() < -PMF_TOLERANCE:
-            raise InvariantError(f"pmf has a negative entry: {probs.min()}")
-        probs = np.clip(probs, 0.0, None)
         total = probs.sum()
+        if not math.isfinite(total) and not np.isfinite(probs).all():
+            raise InvariantError("pmf contains non-finite entries")
+        low = probs.min()
+        if low < -PMF_TOLERANCE:
+            raise InvariantError(f"pmf has a negative entry: {low}")
+        if low <= 0:  # also turns -0.0 into 0.0
+            probs = np.clip(probs, 0.0, None)
+            total = probs.sum()
         if abs(total - 1.0) > PMF_TOLERANCE:
             raise InvariantError(f"pmf sums to {total}, expected 1 within {PMF_TOLERANCE}")
         probs = probs / total
@@ -64,7 +72,7 @@ class WeightVector:
         lw = np.asarray(self.log_weights, dtype=float)
         if lw.ndim != 1 or lw.size < 1:
             raise ValueError("log_weights must be a non-empty 1-d vector")
-        if not np.isfinite(lw).all():
+        if not math.isfinite(lw.sum()) and not np.isfinite(lw).all():
             raise InvariantError("log-weights must be finite")
         lw = lw - lw.max()
         lw.flags.writeable = False
@@ -95,11 +103,11 @@ def exp_weight_update(weights: WeightVector, eta: float, loss_estimates) -> Weig
     est = np.asarray(loss_estimates, dtype=float)
     if est.shape != weights.log_weights.shape:
         raise ValueError(f"expected {len(weights)} estimates, got shape {est.shape}")
-    if not np.isfinite(est).all():
+    if not math.isfinite(est.sum()) and not np.isfinite(est).all():
         raise InvariantError("loss estimates must be finite")
-    if (est < 0).any():
+    if est.min() < 0:
         raise ValueError("loss estimates must be non-negative")
-    if not (np.isfinite(eta) and eta > 0):
+    if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
     return WeightVector(weights.log_weights - eta * est)
 
@@ -122,13 +130,19 @@ def importance_loss_estimate(loss: float, q: float, observed: bool) -> float:
 
 def sample_index(pmf: Pmf, rng: np.random.Generator) -> int:
     """Draw a 1-based expert index by inverting the CDF over ascending indices."""
-    return int(sample_positions(pmf, rng, 1)[0]) + 1
+    return int(sample_positions(pmf, rng)) + 1
 
 
-def sample_positions(pmf: Pmf, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampler returning 0-based array positions."""
-    cum = np.cumsum(pmf.probs)
+def sample_positions(pmf: Pmf, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Inverse-CDF sampler of 0-based positions; one, from a scalar draw, when ``n`` is None."""
+    cum = pmf.probs.cumsum()
     if cum[-1] <= 0:
         raise InvariantError("degenerate all-zero pmf")
-    pos = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(pos, pmf.probs.size - 1)
+    return _invert_cdf(cum, rng.random(n))
+
+
+def _invert_cdf(cum: np.ndarray, uniforms) -> np.ndarray:
+    """The 0-based position whose interval of the running sum ``cum`` holds
+    each uniform.  Searching all but the last boundary puts a uniform at or
+    above ``cum[-1]`` (rounding) on the last position, without a clip."""
+    return cum[:-1].searchsorted(uniforms, side="right")

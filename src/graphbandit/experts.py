@@ -155,7 +155,8 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
     file, while the target is min-max scaled by the *training prefix* min/max
     and then clipped to [0, 1] (no lookahead).  Without it values are taken
     verbatim, and out-of-range targets are rejected.  Rows with non-numeric
-    cells abort the load with their line numbers.
+    cells abort the load with their line numbers.  A non-numeric first row is
+    the header; it must name every column, each name once.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -168,6 +169,11 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
         [float(cell) for cell in raw_rows[0]]
     except ValueError:
         header = [cell.strip() for cell in raw_rows[0]]
+        if not all(header):
+            raise IngestError(f"{path}: non-numeric or ragged rows at line(s) 1 (empty cell)")
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        if duplicates:
+            raise IngestError(f"{path}: duplicate column name(s) {duplicates} in the header")
         raw_rows = raw_rows[1:]
     if not raw_rows:
         raise IngestError(f"{path}: no data rows")

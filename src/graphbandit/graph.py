@@ -8,6 +8,7 @@ row/column ``k`` belongs to expert ``k + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,14 @@ class NominalGraph:
     @property
     def num_experts(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def out_positions(self) -> tuple[np.ndarray, ...]:
+        """Entry k: expert k+1's out-neighbours as ascending 0-based positions, built on first use."""
+        rows = tuple(np.flatnonzero(row) for row in self.adjacency)
+        for row in rows:
+            row.flags.writeable = False
+        return rows
 
     @classmethod
     def complete(cls, num_experts: int) -> "NominalGraph":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .environment import FeedbackEvent
 from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError
-from .estimator import Pmf, WeightVector, exp_weight_update, importance_loss_estimate, sample_index
+from .estimator import Pmf, WeightVector, _invert_cdf, exp_weight_update, importance_loss_estimate, sample_index
 from .graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
 from .schedulers import (
     DoublingSchedule,
@@ -101,7 +101,7 @@ class LearnerConfig:
 
 
 def _check_eta(eta: float) -> float:
-    if not (np.isfinite(eta) and 0 <= eta <= 1):
+    if not 0 <= eta <= 1:  # NaN and +-inf fail too
         raise ValueError(f"mixing rate must be in [0, 1], got {eta}")
     return float(eta)
 
@@ -206,6 +206,20 @@ def exploration_index(t: int, num_experts: int, min_observations: int | None = N
 # ---------------------------------------------------------------------------
 
 
+def _out_edge_hits(graph: NominalGraph, chosen: int, realized) -> tuple[np.ndarray, np.ndarray]:
+    """``chosen``'s out-neighbour positions and the length-K row ``realized`` read on them."""
+    if not 1 <= chosen <= graph.num_experts:
+        raise ValueError(f"chosen index {chosen} out of range")
+    realized = np.asarray(realized, dtype=bool)
+    if realized.shape != (graph.num_experts,):
+        raise ContractError(f"realized row must have length {graph.num_experts}")
+    out = graph.out_positions[chosen - 1]
+    hits = realized[out]
+    if np.count_nonzero(realized) != np.count_nonzero(hits):
+        raise ContractError("activation reported for a non-edge")
+    return out, hits
+
+
 class ProbabilityEstimatorState:
     """Per-edge Bernoulli sample means, fed by rounds where the edge's source
     was the chosen expert."""
@@ -232,16 +246,9 @@ class ProbabilityEstimatorState:
         j's loss was revealed.  A True entry on a non-edge is a contract
         violation.
         """
-        if not 1 <= chosen <= self._graph.num_experts:
-            raise ValueError(f"chosen index {chosen} out of range")
-        realized = np.asarray(realized, dtype=bool)
-        if realized.shape != (self._graph.num_experts,):
-            raise ContractError(f"realized row must have length {self._graph.num_experts}")
-        row = self._graph.adjacency[chosen - 1]
-        if (realized & ~row).any():
-            raise ContractError("activation reported for a non-edge")
-        self.counts[chosen - 1, row] += 1
-        self.sums[chosen - 1, row] += realized[row]
+        out, hits = _out_edge_hits(self._graph, chosen, realized)
+        self.counts[chosen - 1, out] += 1
+        self.sums[chosen - 1, out] += hits
 
 
 def estimated_observation_prob(
@@ -342,19 +349,12 @@ class ResampleBuffer:
 
     def observe_row(self, chosen: int, realized) -> None:
         """Append one round's activations for every out-edge of ``chosen``."""
-        if not 1 <= chosen <= self._graph.num_experts:
-            raise ValueError(f"chosen index {chosen} out of range")
-        realized = np.asarray(realized, dtype=bool)
-        if realized.shape != (self._graph.num_experts,):
-            raise ContractError(f"realized row must have length {self._graph.num_experts}")
-        row = self._graph.adjacency[chosen - 1]
-        if (realized & ~row).any():
-            raise ContractError("activation reported for a non-edge")
-        edges = self._edge_id[chosen - 1, row]
+        out, hits = _out_edge_hits(self._graph, chosen, realized)
+        edges = self._edge_id[chosen - 1, out]
         written = self._written[edges]
         cols = written % self._capacity
         self._widen(int(cols.max()) + 1)
-        self._ring[edges, cols] = realized[row]
+        self._ring[edges, cols] = hits
         self._written[edges] = written + 1
 
     def _widen(self, width: int) -> None:
@@ -453,7 +453,7 @@ def _resample_trials(
     slot u.  Returns min(first success, M) per row, in [1, M].
     """
     n, m = uniforms.shape
-    draws = np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)
+    draws = _invert_cdf(cum, uniforms)
     rows = row_of[np.arange(n)[:, None], draws]
     order = np.argsort(keys, axis=-1)
     hit = windows[rows, order[rows, np.arange(m)]] & (rows >= 0)  # a -1 row reads the last row, then is masked
@@ -479,7 +479,7 @@ def _resample_targets(
     block_row = mask.ravel().cumsum().reshape(mask.shape) - 1
     uniforms = rng.random(edges.size * window).reshape(edges.size, window)
     row_of = np.where(mask[:, 1:], block_row[:, 1:], -1)
-    return _resample_trials(np.cumsum(pmf.probs), uniforms[block_row[:, 0]], row_of, uniforms, windows)
+    return _resample_trials(pmf.probs.cumsum(), uniforms[block_row[:, 0]], row_of, uniforms, windows)
 
 
 def geometric_resample(

@@ -64,6 +64,12 @@ class TestSimulate:
         ])
         assert code == 0
 
+    def test_table_with_empty_first_row_cell_is_config_error(self, tmp_path):
+        table = tmp_path / "losses.csv"
+        table.write_text("0.1,,0.2\n0.2,0.3,0.1\n")
+        code = run_cli(["simulate", "--algo", "exp3", "--K", "3", "--T", "1", "--adversary", f"table:{table}"])
+        assert code == 2
+
     def test_doubling_schedule_flag(self):
         code = run_cli([
             "simulate", "--algo", "exp3-gr", "--K", "2", "--T", "30", "--runs", "1",
@@ -95,6 +101,11 @@ class TestDataset:
         data = tmp_path / "data.csv"
         data.write_text("a,b\n" + "\n".join("0.1,0.2" for _ in range(25)))
         assert run_cli(["dataset", "--algo", "exp3", "--data", str(data), "--target", "zzz"]) == 2
+
+    def test_duplicate_header_names(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,y,y\n" + "\n".join("0.1,0.2,0.3" for _ in range(25)))
+        assert run_cli(["dataset", "--algo", "exp3", "--data", str(data), "--target", "y"]) == 2
 
 
 class TestOracle:

@@ -104,6 +104,12 @@ class TestAdversaries:
         with pytest.raises(IngestError):
             FixedTableAdversary.from_csv(path)
 
+    def test_fixed_table_csv_first_row_with_empty_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0.1,,0.2\n0.2,0.3,0.1\n")
+        with pytest.raises(IngestError, match=":1:"):
+            FixedTableAdversary.from_csv(path)
+
     def test_gap_adversary_means(self):
         adv = StochasticGapAdversary(gap=0.2, best_arm=2)
         table = adv.materialize(50_000, 3, np.random.default_rng(3))

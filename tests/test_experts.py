@@ -179,6 +179,18 @@ class TestLoadCsv:
         data = load_csv(tmp_path / "d.csv", 1, normalize=False)
         assert data.features.shape == (25, 1)
 
+    def test_first_row_with_empty_cell_is_a_bad_row_not_a_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0.1,,0.2\n" + "\n".join("0.2,0.3,0.1" for _ in range(25)))
+        with pytest.raises(IngestError, match="line\\(s\\) 1"):
+            load_csv(path, 2)
+
+    def test_duplicate_header_names(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["x1", "y", "y"], [[i, i, i] for i in range(25)])
+        with pytest.raises(IngestError, match="duplicate column name"):
+            load_csv(path, "y")
+
     def test_dataset_needs_twenty_rows(self, tmp_path):
         write_csv(tmp_path / "d.csv", ["a", "b"], [[1, 0.5]] * 5)
         with pytest.raises(IngestError, match="20 rows"):
