@@ -50,7 +50,6 @@ from .policies import (
     geometric_resample,
     load_snapshot,
     make_learner,
-    observation_prob,
     observation_probs,
     resampled_loss_estimate,
 )

@@ -10,13 +10,13 @@ consume identical learner streams.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, IngestError
+from .experts import _csv_rows
 from .graph import EdgeProbabilityTable, NominalGraph
 
 __all__ = [
@@ -88,20 +88,16 @@ class FixedTableAdversary:
 
     @classmethod
     def from_csv(cls, path) -> "FixedTableAdversary":
-        """Load a T x K loss table from CSV; a non-numeric first row with no
-        empty cell is treated as a header and skipped."""
+        """Load a T x K loss table from CSV; a header row (see ``experts._csv_rows``)
+        is skipped."""
         path = Path(path)
+        _, records = _csv_rows(path)
         rows: list[list[float]] = []
-        with path.open(newline="") as handle:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    if lineno == 1 and all(cell.strip() for cell in row):
-                        continue  # header
-                    raise IngestError(f"{path}:{lineno}: non-numeric loss value") from None
+        for lineno, row in records:
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise IngestError(f"{path}:{lineno}: non-numeric loss value") from None
         if not rows:
             raise IngestError(f"{path}: no loss rows found")
         widths = {len(r) for r in rows}
@@ -179,15 +175,28 @@ def realize_feedback(
     expert's own loss is included only when its self-loop fires; the incurred
     loss is recorded regardless.
     """
-    if not 1 <= chosen <= graph.num_experts:
-        raise ValueError(f"chosen index {chosen} out of range 1..{graph.num_experts}")
+    _check_chosen(graph, chosen)
     losses = np.asarray(losses, dtype=float)
     if losses.shape != (graph.num_experts,):
         raise ContractError(f"expected {graph.num_experts} losses, got shape {losses.shape}")
     if not (losses.min() >= 0 and losses.max() <= 1):  # NaN fails both
         raise ContractError("losses must lie in [0, 1]")
+    return _event(t, chosen, _fire(graph, probs, chosen, rng), losses)
+
+
+def _check_chosen(graph: NominalGraph, chosen: int) -> None:
+    if not 1 <= chosen <= graph.num_experts:
+        raise ValueError(f"chosen index {chosen} out of range 1..{graph.num_experts}")
+
+
+def _fire(graph: NominalGraph, probs: EdgeProbabilityTable, chosen: int, rng: np.random.Generator) -> np.ndarray:
+    """The kernel behind ``realize_feedback``: the ascending 0-based positions
+    of ``chosen``'s out-edges that fire, one uniform drawn per out-edge."""
     out = graph.out_positions[chosen - 1]
-    fired = out[rng.random(out.size) < probs.probs[chosen - 1, out]]
+    return out[rng.random(out.size) < probs.probs[chosen - 1, out]]
+
+
+def _event(t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> FeedbackEvent:
     observed = tuple(zip((fired + 1).tolist(), losses[fired].tolist()))
     return FeedbackEvent(t=t, chosen=chosen, observed=observed, incurred_loss=float(losses[chosen - 1]))
 
@@ -207,6 +216,12 @@ def run_episode(
     round's nominal graph; learners that require a static graph reject any
     round whose graph differs from the one they were built with.
     Deterministic given the seed.
+
+    The loss table is checked once, before round 1.  The learners of this
+    package take each round's feedback as arrays (``_observe``: the round,
+    the chosen index, the fired positions and their losses); any other object
+    with ``select``/``update`` gets a ``FeedbackEvent``, as from
+    ``realize_feedback``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -220,7 +235,7 @@ def run_episode(
     if not np.isfinite(table).all() or (table < 0).any() or (table > 1).any():
         raise ContractError("adversary produced losses outside [0, 1] or non-finite")
 
-    incurred = np.empty(horizon)
+    observe = getattr(learner, "_observe", None)
     chosen = np.empty(horizon, dtype=np.int64)
     for t in range(1, horizon + 1):
         if graphs is None:
@@ -229,10 +244,15 @@ def run_episode(
         else:
             g_t, p_t = graphs(t)
             pick = learner.select(t, g_t, p_t)
-        event = realize_feedback(g_t, p_t, pick, table[t - 1], feedback_rng, t=t)
-        learner.update(event)
-        incurred[t - 1] = event.incurred_loss
+        _check_chosen(g_t, pick)
+        fired = _fire(g_t, p_t, pick, feedback_rng)
+        losses = table[t - 1]
+        if observe is not None:
+            observe(t, pick, fired, losses[fired])
+        else:
+            learner.update(_event(t, pick, fired, losses))
         chosen[t - 1] = pick
+    incurred = table[np.arange(horizon), chosen - 1]
     return RunTrace(incurred=incurred, chosen=chosen, loss_table=table, seed=seed)
 
 

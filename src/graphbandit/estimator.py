@@ -1,9 +1,12 @@
 """Shared numerical kernels: log-domain exponential weights, probability mass
 functions, importance-weighted loss estimates, and categorical sampling.
 
-Each per-round check costs O(1) numpy reductions.  A sum is finite when every
-entry is (unless finite entries overflow it), so the entry-wise finiteness
-scan runs only when the sum is not."""
+Each concept has one private kernel on plain arrays (``_normalized``,
+``_canonical``, ``_exp_weight_step``, ``_importance_estimates``, ``_cdf``).
+The learners call the kernels; the public classes and functions are views
+of them.  Each check costs O(1) numpy reductions.  A sum is finite when
+every entry is (unless finite entries overflow it), so the entry-wise
+finiteness scan runs only when the sum is not."""
 
 from __future__ import annotations
 
@@ -36,23 +39,30 @@ class Pmf:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("pmf must be a non-empty 1-d vector")
-        total = probs.sum()
-        if not math.isfinite(total) and not np.isfinite(probs).all():
-            raise InvariantError("pmf contains non-finite entries")
-        low = probs.min()
-        if low < -PMF_TOLERANCE:
-            raise InvariantError(f"pmf has a negative entry: {low}")
-        if low <= 0:  # also turns -0.0 into 0.0
-            probs = np.clip(probs, 0.0, None)
-            total = probs.sum()
-        if abs(total - 1.0) > PMF_TOLERANCE:
-            raise InvariantError(f"pmf sums to {total}, expected 1 within {PMF_TOLERANCE}")
-        probs = probs / total
+        probs = _normalized(probs)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
         return self.probs.size
+
+
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """The check-and-normalize kernel behind ``Pmf``: rejects non-finite
+    entries, negatives beyond the tolerance and sums off 1 by more than it;
+    returns a new vector divided by its sum, small negatives clipped to 0."""
+    total = probs.sum()
+    if not math.isfinite(total) and not np.isfinite(probs).all():
+        raise InvariantError("pmf contains non-finite entries")
+    low = probs.min()
+    if low < -PMF_TOLERANCE:
+        raise InvariantError(f"pmf has a negative entry: {low}")
+    if low <= 0:  # also turns -0.0 into 0.0
+        probs = np.clip(probs, 0.0, None)
+        total = probs.sum()
+    if abs(total - 1.0) > PMF_TOLERANCE:
+        raise InvariantError(f"pmf sums to {total}, expected 1 within {PMF_TOLERANCE}")
+    return probs / total
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,7 @@ class WeightVector:
         lw = np.asarray(self.log_weights, dtype=float)
         if lw.ndim != 1 or lw.size < 1:
             raise ValueError("log_weights must be a non-empty 1-d vector")
-        if not math.isfinite(lw.sum()) and not np.isfinite(lw).all():
-            raise InvariantError("log-weights must be finite")
-        lw = lw - lw.max()
+        lw = _canonical(lw)
         lw.flags.writeable = False
         object.__setattr__(self, "log_weights", lw)
 
@@ -94,8 +102,21 @@ class WeightVector:
 
     def normalized(self) -> np.ndarray:
         """The induced distribution w / sum(w)."""
-        e = np.exp(self.log_weights)
-        return e / e.sum()
+        return _softmax(self.log_weights)
+
+
+def _canonical(log_weights: np.ndarray) -> np.ndarray:
+    """The kernel behind ``WeightVector``: rejects non-finite log-weights and
+    returns a new vector shifted so that its largest entry is exactly 0."""
+    if not math.isfinite(log_weights.sum()) and not np.isfinite(log_weights).all():
+        raise InvariantError("log-weights must be finite")
+    return log_weights - log_weights.max()
+
+
+def _softmax(log_weights: np.ndarray) -> np.ndarray:
+    """exp(log_weights) / sum: the distribution of canonical log-weights."""
+    e = np.exp(log_weights)
+    return e / e.sum()
 
 
 def exp_weight_update(weights: WeightVector, eta: float, loss_estimates) -> WeightVector:
@@ -103,13 +124,20 @@ def exp_weight_update(weights: WeightVector, eta: float, loss_estimates) -> Weig
     est = np.asarray(loss_estimates, dtype=float)
     if est.shape != weights.log_weights.shape:
         raise ValueError(f"expected {len(weights)} estimates, got shape {est.shape}")
-    if not math.isfinite(est.sum()) and not np.isfinite(est).all():
+    return WeightVector(_exp_weight_step(weights.log_weights, eta, est))
+
+
+def _exp_weight_step(log_weights: np.ndarray, eta: float, estimates: np.ndarray) -> np.ndarray:
+    """The kernel behind ``exp_weight_update``: checks the estimates and the
+    rate, then returns the canonical form of log_weights - eta * estimates.
+    ``WeightVector`` leaves a canonical vector's bits unchanged."""
+    if not math.isfinite(estimates.sum()) and not np.isfinite(estimates).all():
         raise InvariantError("loss estimates must be finite")
-    if est.min() < 0:
+    if estimates.min() < 0:
         raise ValueError("loss estimates must be non-negative")
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    return WeightVector(weights.log_weights - eta * est)
+    return _canonical(log_weights - eta * estimates)
 
 
 def importance_loss_estimate(loss: float, q: float, observed: bool) -> float:
@@ -121,11 +149,20 @@ def importance_loss_estimate(loss: float, q: float, observed: bool) -> float:
     """
     if not observed:
         return 0.0
-    if not np.isfinite(loss) or not 0 <= loss <= 1:
-        raise ValueError(f"loss must be in [0, 1], got {loss}")
-    if not q > 0:
-        raise InvariantError(f"observed a loss with observation probability {q} <= 0")
-    return float(loss) / float(q)
+    return float(_importance_estimates(np.array([loss]), np.array([q]))[0])
+
+
+def _importance_estimates(losses: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """losses / q for a round's observed losses, each against its own
+    observation probability.  Checked in order, loss before q: the first
+    loss outside [0, 1] or q <= 0 raises."""
+    if losses.size and not (losses.min() >= 0 and losses.max() <= 1 and q.min() > 0):  # NaN fails
+        bad_loss = ~((losses >= 0) & (losses <= 1))
+        i = (bad_loss | ~(q > 0)).argmax()
+        if bad_loss[i]:
+            raise ValueError(f"loss must be in [0, 1], got {losses[i]}")
+        raise InvariantError(f"observed a loss with observation probability {q[i]} <= 0")
+    return losses / q
 
 
 def sample_index(pmf: Pmf, rng: np.random.Generator) -> int:
@@ -135,10 +172,15 @@ def sample_index(pmf: Pmf, rng: np.random.Generator) -> int:
 
 def sample_positions(pmf: Pmf, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Inverse-CDF sampler of 0-based positions; one, from a scalar draw, when ``n`` is None."""
-    cum = pmf.probs.cumsum()
+    return _invert_cdf(_cdf(pmf.probs), rng.random(n))
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The running sum of a pmf vector; raises when it is all zero."""
+    cum = probs.cumsum()
     if cum[-1] <= 0:
         raise InvariantError("degenerate all-zero pmf")
-    return _invert_cdf(cum, rng.random(n))
+    return cum
 
 
 def _invert_cdf(cum: np.ndarray, uniforms) -> np.ndarray:

@@ -147,6 +147,24 @@ class LinearExpert:
         return "linear"
 
 
+def _csv_rows(path: Path) -> tuple[tuple[int, list[str]] | None, list[tuple[int, list[str]]]]:
+    """The non-blank rows of a CSV file as (physical line, cells), with the
+    header split off.  The first non-blank row is the header when one of its
+    cells is not a number and none is empty; a first row with an empty cell
+    is a (bad) data row."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if rows:
+        cells = rows[0][1]
+        try:
+            [float(cell) for cell in cells]
+        except ValueError:
+            if all(cell.strip() for cell in cells):
+                return rows[0], rows[1:]
+    return None, rows
+
+
 def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -> Dataset:
     """Ingest a regression CSV.
 
@@ -155,30 +173,38 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
     file, while the target is min-max scaled by the *training prefix* min/max
     and then clipped to [0, 1] (no lookahead).  Without it values are taken
     verbatim, and out-of-range targets are rejected.  Rows with non-numeric
-    cells abort the load with their line numbers.  A non-numeric first row is
-    the header; it must name every column, each name once.
+    cells abort the load with their physical line numbers.  The header is
+    the first non-blank row if it is non-numeric (see ``_csv_rows``); it must
+    name every column, each name once.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        raw_rows = [row for row in csv.reader(handle) if row]
-    if not raw_rows:
+    header_row, rows = _csv_rows(path)
+    if header_row is None and not rows:
         raise IngestError(f"{path}: empty file")
-
     header: list[str] | None = None
-    try:
-        [float(cell) for cell in raw_rows[0]]
-    except ValueError:
-        header = [cell.strip() for cell in raw_rows[0]]
-        if not all(header):
-            raise IngestError(f"{path}: non-numeric or ragged rows at line(s) 1 (empty cell)")
+    if header_row is not None:
+        header = [cell.strip() for cell in header_row[1]]
         duplicates = sorted({name for name in header if header.count(name) > 1})
         if duplicates:
             raise IngestError(f"{path}: duplicate column name(s) {duplicates} in the header")
-        raw_rows = raw_rows[1:]
-    if not raw_rows:
+    if not rows:
         raise IngestError(f"{path}: no data rows")
 
-    width = len(raw_rows[0])
+    width = len(rows[0][1])
+    values = np.empty((len(rows), width))
+    bad_lines: list[int] = []
+    for r, (lineno, row) in enumerate(rows):
+        if len(row) != width:
+            bad_lines.append(lineno)
+            continue
+        try:
+            values[r] = [float(cell) for cell in row]
+        except ValueError:
+            bad_lines.append(lineno)
+    if bad_lines:
+        shown = ", ".join(str(n) for n in bad_lines[:20])
+        raise IngestError(f"{path}: non-numeric or ragged rows at line(s) {shown}")
+
     if isinstance(target_column, str):
         if header is None:
             raise IngestError(f"{path}: target column {target_column!r} named but the file has no header")
@@ -189,21 +215,6 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
         target_idx = int(target_column)
         if not 0 <= target_idx < width:
             raise IngestError(f"{path}: target column {target_idx} out of range for {width} columns")
-
-    values = np.empty((len(raw_rows), width))
-    bad_lines: list[int] = []
-    offset = 2 if header is not None else 1
-    for r, row in enumerate(raw_rows):
-        if len(row) != width:
-            bad_lines.append(r + offset)
-            continue
-        try:
-            values[r] = [float(cell) for cell in row]
-        except ValueError:
-            bad_lines.append(r + offset)
-    if bad_lines:
-        shown = ", ".join(str(n) for n in bad_lines[:20])
-        raise IngestError(f"{path}: non-numeric or ragged rows at line(s) {shown}")
 
     targets = values[:, target_idx]
     features = np.delete(values, target_idx, axis=1)

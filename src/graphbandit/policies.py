@@ -12,6 +12,10 @@ Five policies share one interface (``select(t, graph) -> index`` then
 * ``exp3-dom`` - treats the nominal graph as exact (all edge probabilities 1).
 
 All expert indices crossing the public interface are 1-based.
+
+A learner's state is plain arrays.  ``run_episode`` hands each round's
+feedback to ``_observe`` as arrays; ``update`` is its ``FeedbackEvent`` view,
+and ``weights``/``last_pmf`` build their objects from the arrays on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ import numpy as np
 
 from .environment import FeedbackEvent
 from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError
-from .estimator import Pmf, WeightVector, _invert_cdf, exp_weight_update, importance_loss_estimate, sample_index
+from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
+from .estimator import _softmax
+
+# Public views of the kernels above, kept importable from this module, where
+# perfbench/tracer.py looks them up; the learners call the kernels.
+from .estimator import exp_weight_update, importance_loss_estimate, sample_index  # noqa: F401
 from .graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
 from .schedulers import (
     DoublingSchedule,
@@ -47,7 +56,6 @@ __all__ = [
     "ResampleBuffer",
     "exp3ip_pmf",
     "exp3up_pmf",
-    "observation_prob",
     "observation_probs",
     "exploration_index",
     "estimated_observation_prob",
@@ -143,17 +151,18 @@ def exp3ip_pmf(
     dominating set proportionally to each member's expected number of
     revealed losses.
     """
-    return _informed_pmf(weights, eta, _GraphTable.build(graph, probs, dominating))
+    return Pmf(_informed_mix(weights.log_weights, eta, _GraphTable.build(graph, probs, dominating)))
 
 
-def _informed_pmf(weights: WeightVector, eta: float, table: _GraphTable) -> Pmf:
+def _informed_mix(log_weights: np.ndarray, eta: float, table: _GraphTable) -> np.ndarray:
+    """The informed selection vector before ``Pmf``'s check-and-normalize."""
     eta = _check_eta(eta)
-    base = weights.normalized()
+    base = _softmax(log_weights)
     if base.size != table.masked.shape[0]:
         raise ValueError("weight vector and graph disagree on the number of experts")
     out = (1.0 - eta) * base
     out[table.dom] += eta * table.dom_share
-    return Pmf(out)
+    return out
 
 
 def exp3up_pmf(weights: WeightVector, eta: float, dominating: VertexSet) -> Pmf:
@@ -164,27 +173,21 @@ def exp3up_pmf(weights: WeightVector, eta: float, dominating: VertexSet) -> Pmf:
     dom = _positions(dominating)
     if dom.max() >= len(weights):
         raise ValueError("dominating set references an expert outside the weight vector")
-    return _uniform_mix_pmf(weights, eta, dom)
+    return Pmf(_uniform_mix(weights.log_weights, eta, dom))
 
 
-def _uniform_mix_pmf(weights: WeightVector, eta: float, dom: np.ndarray) -> Pmf:
+def _uniform_mix(log_weights: np.ndarray, eta: float, dom: np.ndarray) -> np.ndarray:
+    """The uninformed selection vector before ``Pmf``'s check-and-normalize."""
     eta = _check_eta(eta)
-    out = (1.0 - eta) * weights.normalized()
+    out = (1.0 - eta) * _softmax(log_weights)
     out[dom] += eta / dom.size
-    return Pmf(out)
-
-
-def observation_prob(pmf: Pmf, graph: NominalGraph, probs: EdgeProbabilityTable, i: int) -> float:
-    """Exact probability that expert i's loss gets observed this round:
-    sum over i's in-neighbors of (selection probability * edge probability)."""
-    if not 1 <= i <= graph.num_experts:
-        raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    col = graph.adjacency[:, i - 1]
-    return float((pmf.probs * probs.probs[:, i - 1] * col).sum())
+    return out
 
 
 def observation_probs(pmf: Pmf, graph: NominalGraph, probs: EdgeProbabilityTable) -> np.ndarray:
-    """Vectorized observation_prob over all experts."""
+    """Exact probability that each expert's loss gets observed this round:
+    entry i-1 sums, over expert i's in-neighbours, selection probability
+    times edge probability."""
     masked = np.where(graph.adjacency, probs.probs, 0.0)
     return pmf.probs @ masked
 
@@ -271,11 +274,11 @@ def estimated_observation_prob(
     if min_observations < 1:
         raise ValueError("min_observations must be >= 1")
     targets = np.array([i - 1])
-    return float(_inflated_observation_probs(pmf, graph, state, confidence_width, min_observations, targets)[0])
+    return float(_inflated_observation_probs(pmf.probs, graph, state, confidence_width, min_observations, targets)[0])
 
 
 def _inflated_observation_probs(
-    pmf: Pmf,
+    probs: np.ndarray,
     graph: NominalGraph,
     state: ProbabilityEstimatorState,
     confidence_width: float,
@@ -283,7 +286,8 @@ def _inflated_observation_probs(
     targets: np.ndarray,
 ) -> np.ndarray:
     """estimated_observation_prob for every 0-based expert in ``targets`` at
-    once: one contiguous length-K row per target, summed along the row."""
+    once, under the selection vector ``probs``: one contiguous length-K row
+    per target, summed along the row."""
     in_mask = graph.adjacency.T[targets]
     counts = state.counts.T[targets]
     short = ((counts < min_observations) & in_mask).any(axis=1)
@@ -294,7 +298,7 @@ def _inflated_observation_probs(
         )
     inflation = confidence_width / math.sqrt(min_observations)
     phat = np.where(counts > 0, state.sums.T[targets] / np.maximum(counts, 1), 0.0)
-    return (pmf.probs * (phat + inflation) * in_mask).sum(axis=-1)
+    return (probs * (phat + inflation) * in_mask).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +357,8 @@ class ResampleBuffer:
         edges = self._edge_id[chosen - 1, out]
         written = self._written[edges]
         cols = written % self._capacity
-        self._widen(int(cols.max()) + 1)
+        if self._ring.shape[1] < self._capacity:
+            self._widen(int(cols.max()) + 1)
         self._ring[edges, cols] = hits
         self._written[edges] = written + 1
 
@@ -401,6 +406,12 @@ class ResampleBuffer:
         """The last ``window`` samples of each edge id in ``edges``, oldest
         first, stacked as a (len(edges), window) 0/1 matrix.  Raises while
         underfull."""
+        written = self._full_windows(edges, window)
+        return self._window_samples(edges[:, None], written[:, None], window, np.arange(window))
+
+    def _full_windows(self, edges: np.ndarray, window: int) -> np.ndarray:
+        """The write counts of ``edges``; raises while one holds fewer than
+        ``window`` samples."""
         written = self._written[edges]
         short = np.minimum(written, self._capacity) < window
         if short.any():
@@ -409,8 +420,13 @@ class ResampleBuffer:
                 f"edge ({self._sources[e] + 1}, {self._targets[e] + 1}) holds {self._held()[e]} samples, "
                 f"needs {window}"
             )
-        cols = (written[:, None] + np.arange(-window, 0)) % self._capacity
-        return self._ring[edges[:, None], cols]
+        return written
+
+    def _window_samples(self, edges, written, window: int, slots) -> np.ndarray:
+        """Sample ``slots`` (0 = oldest) of the last ``window`` of each edge
+        id in ``edges``, whose write counts are ``written``; the arguments
+        broadcast together."""
+        return self._ring[edges, (written - window + slots) % self._capacity]
 
     def _edge_keys(self) -> list[str]:
         return [f"{s + 1},{t + 1}" for s, t in zip(self._sources, self._targets)]
@@ -438,34 +454,49 @@ class ResampleBuffer:
         return buffers
 
 
-def _resample_trials(
-    cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray, windows: np.ndarray
-) -> np.ndarray:
-    """Capped first-success trial counts, one per row of ``uniforms``.
+def _trial_slots(
+    cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each resampling trial looks: one (row, slot) per trial.
 
     Row i of the (n, M) ``uniforms`` draws the experts of trials 1..M by
-    inverting ``cum``, the running sum of the selection pmf.  ``windows``
-    holds M buffered activation samples per row, and ``keys`` holds M
-    uniforms per window row; their argsort is that row's fresh permutation.
-    ``row_of[i, d]`` is the window row of the edge from expert d into row i's
-    target, or -1 when d is not an in-neighbour.  Trial u succeeds when its
-    draw is an in-neighbour whose permuted window shows an activation at
-    slot u.  Returns min(first success, M) per row, in [1, M].
+    inverting ``cum``, the running sum of the selection pmf.  Each window
+    row holds M buffered activation samples, and ``keys`` holds M uniforms
+    per window row; their argsort is that row's fresh permutation.
+    ``row_of[i, d]`` is the window row of the edge from expert d into row
+    i's target, or -1 when d is not an in-neighbour.  Trial u of row i reads
+    its draw's window row at the slot the permutation puts at position u,
+    and succeeds when that sample shows an activation (``_first_success``).
     """
     n, m = uniforms.shape
     draws = _invert_cdf(cum, uniforms)
     rows = row_of[np.arange(n)[:, None], draws]
-    order = np.argsort(keys, axis=-1)
-    hit = windows[rows, order[rows, np.arange(m)]] & (rows >= 0)  # a -1 row reads the last row, then is masked
+    return rows, np.argsort(keys, axis=-1)[rows, np.arange(m)]
+
+
+def _resample_trials(
+    cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray, windows: np.ndarray
+) -> np.ndarray:
+    """Capped first-success trial counts (see ``_trial_slots``) when the
+    window rows are given whole, as the (rows, M) 0/1 matrix ``windows``."""
+    rows, slots = _trial_slots(cum, uniforms, row_of, keys)
+    return _first_success(rows, windows[rows, slots])
+
+
+def _first_success(rows: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Capped first-success trial counts: min(first successful trial, M)
+    per row, in [1, M], from the (n, M) trial rows and the samples read."""
+    hit = samples & (rows >= 0)  # a -1 row read the last row; masked here
     hit[:, -1] = 1  # no success in the first M-1 trials counts as M
     return hit.argmax(axis=1) + 1
 
 
 def _resample_targets(
-    pmf: Pmf, buffers: ResampleBuffer, targets0: np.ndarray, window: int, rng: np.random.Generator
+    cum: np.ndarray, buffers: ResampleBuffer, targets0: np.ndarray, window: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Geometric-resampling trial counts for every 0-based expert in
-    ``targets0``, in order, from one block of uniforms.
+    ``targets0``, in order, from one block of uniforms; ``cum`` is the
+    running sum of the selection pmf.
 
     Target j takes M + E_j*M uniforms (M expert draws, then M permutation
     keys for each of its E_j in-edges), the same values that one
@@ -475,11 +506,13 @@ def _resample_targets(
     if targets0.size == 0:
         return np.zeros(0, dtype=np.int64)
     mask, edges = buffers.resample_layout(targets0)
-    windows = buffers.edge_matrix(edges, window)  # raises before any draw
+    written = buffers._full_windows(edges, window)  # raises before any draw
     block_row = mask.ravel().cumsum().reshape(mask.shape) - 1
     uniforms = rng.random(edges.size * window).reshape(edges.size, window)
     row_of = np.where(mask[:, 1:], block_row[:, 1:], -1)
-    return _resample_trials(pmf.probs.cumsum(), uniforms[block_row[:, 0]], row_of, uniforms, windows)
+    rows, slots = _trial_slots(cum, uniforms[block_row[:, 0]], row_of, uniforms)
+    # Only the samples the trials read are gathered, not whole windows.
+    return _first_success(rows, buffers._window_samples(edges[rows], written[rows], window, slots))
 
 
 def geometric_resample(
@@ -504,18 +537,30 @@ def geometric_resample(
         raise ValueError("min_observations must be >= 1")
     if buffers.graph != graph:
         raise ValueError("the buffers belong to a different graph")
-    return int(_resample_targets(pmf, buffers, np.array([i - 1]), min_observations, rng)[0])
+    return int(_resample_targets(pmf.probs.cumsum(), buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
 def resampled_loss_estimate(loss: float, trials: int, observed: bool, cap: int | None = None) -> float:
     """trials * loss when observed, 0 otherwise; under-estimates the loss."""
     if not observed:
         return 0.0
-    if not np.isfinite(loss) or not 0 <= loss <= 1:
-        raise ValueError(f"loss must be in [0, 1], got {loss}")
-    if trials < 1 or (cap is not None and trials > cap):
-        raise ContractError(f"trial count {trials} outside [1, {cap}]")
-    return float(trials) * float(loss)
+    return float(_resampled_estimates(np.array([loss]), np.array([trials]), cap)[0])
+
+
+def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None) -> np.ndarray:
+    """trials * losses for a round's observed losses.  Checked in order,
+    loss before trial count: the first loss outside [0, 1] or count outside
+    [1, cap] raises."""
+    if losses.size and not (
+        losses.min() >= 0 and losses.max() <= 1 and trials.min() >= 1 and (cap is None or trials.max() <= cap)
+    ):  # NaN fails
+        bad_loss = ~((losses >= 0) & (losses <= 1))
+        bad_count = trials < 1 if cap is None else (trials < 1) | (trials > cap)
+        i = (bad_loss | bad_count).argmax()
+        if bad_loss[i]:
+            raise ValueError(f"loss must be in [0, 1], got {losses[i]}")
+        raise ContractError(f"trial count {trials[i]} outside [1, {cap}]")
+    return trials * losses
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +585,10 @@ class _LearnerBase:
         self._graph = graph
         self._probs = probs
         self._k = graph.num_experts
-        self._weights = WeightVector.uniform(self._k)
+        self._log_weights = np.zeros(self._k)  # canonical: largest entry exactly 0
         self._round = 0
         self._pending = None
-        self._last_pmf: Pmf | None = None
+        self._mixed: np.ndarray | None = None  # the last pmf-driven round's vector, before normalizing
         self._rng: np.random.Generator
         self.reseed(seed)
 
@@ -557,12 +602,14 @@ class _LearnerBase:
 
     @property
     def weights(self) -> WeightVector:
-        return self._weights
+        """The current weights, built from the log-weight array on each call."""
+        return WeightVector(self._log_weights)
 
     @property
     def last_pmf(self) -> Pmf | None:
-        """The selection distribution of the most recent non-exploration round."""
-        return self._last_pmf
+        """The selection distribution of the most recent non-exploration
+        round, built on each call from the same vector the round sampled from."""
+        return None if self._mixed is None else Pmf(self._mixed)
 
     def reseed(self, seed) -> None:
         if not isinstance(seed, np.random.SeedSequence):
@@ -582,12 +629,21 @@ class _LearnerBase:
     def update(self, feedback: FeedbackEvent) -> None:
         if self._pending is None:
             raise ProtocolError("update called before select")
-        t, choice, extras = self._pending
+        t, choice, _ = self._pending
         if feedback.t != t:
             raise ProtocolError(f"feedback is for round {feedback.t}, learner is at round {t}")
         if feedback.chosen != choice:
             raise ProtocolError(f"feedback says index {feedback.chosen} was chosen, learner chose {choice}")
-        self._apply(feedback, extras)
+        observed = feedback.observed
+        fired = np.fromiter((j - 1 for j, _ in observed), dtype=np.int64, count=len(observed))
+        losses = np.fromiter((loss for _, loss in observed), dtype=float, count=len(observed))
+        self._observe(t, choice, fired, losses)
+
+    def _observe(self, t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> None:
+        """Take the feedback of the round ``select`` just chose ``chosen``
+        for: the 0-based positions whose losses were revealed, in feedback
+        order, and those losses.  ``run_episode`` calls this directly."""
+        self._apply(chosen, fired, losses, self._pending[2])
         self._pending = None
         self._round = t
 
@@ -612,15 +668,26 @@ class _LearnerBase:
     def _choose(self, t, graph, probs):
         raise NotImplementedError
 
-    def _apply(self, feedback, extras):
+    def _apply(self, chosen, fired, losses, extras):
         raise NotImplementedError
 
-    # -- observed losses ---------------------------------------------------
+    # -- shared steps --------------------------------------------------------
 
-    @staticmethod
-    def _observed_targets(feedback: FeedbackEvent) -> np.ndarray:
-        """The round's observed experts, 0-based, in feedback order."""
-        return np.fromiter((j - 1 for j, _ in feedback.observed), dtype=np.int64, count=len(feedback.observed))
+    def _sample(self, mixed: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """Normalize the round's selection vector and draw from it: returns
+        the 1-based choice, the pmf and its running sum."""
+        self._mixed = mixed
+        probs = _normalized(mixed)
+        cum = _cdf(probs)
+        return int(_invert_cdf(cum, self._rng.random())) + 1, probs, cum
+
+    def _exp_update(self, eta: float, fired: np.ndarray, values: np.ndarray) -> None:
+        """Exponential-weights step with the estimates ``values`` at ``fired``
+        and 0 elsewhere; a zero rate leaves the weights as they are."""
+        if eta > 0:
+            estimates = np.zeros(self._k)
+            estimates[fired] = values
+            self._log_weights = _exp_weight_step(self._log_weights, eta, estimates)
 
     def _realized_row(self, targets: np.ndarray) -> np.ndarray:
         realized = np.zeros(self._k, dtype=bool)
@@ -637,7 +704,7 @@ class _LearnerBase:
             "version": SNAPSHOT_VERSION,
             "algorithm": self.algorithm,
             "round": self._round,
-            "log_weights": self._weights.log_weights.tolist(),
+            "log_weights": self._log_weights.tolist(),
             "rng": _encode_rng_state(self._rng),
             "config": {
                 "schedule": format_schedule(self.config.schedule),
@@ -714,22 +781,17 @@ class Exp3IP(_LearnerBase):
     def _choose(self, t, graph, probs):
         table = self._table if graph is self._graph else _GraphTable.build(graph, probs, greedy_dominating_set(graph))
         eta = self._eta(t)
-        pmf = _informed_pmf(self._weights, eta, table)
-        self._last_pmf = pmf
-        return sample_index(pmf, self._rng), (pmf, eta, table)
+        choice, pmf, _ = self._sample(_informed_mix(self._log_weights, eta, table))
+        return choice, (pmf, eta, table)
 
-    def _apply(self, feedback, extras):
+    def _apply(self, chosen, fired, losses, extras):
         pmf, eta, table = extras
-        q = pmf.probs @ table.masked
-        estimates = np.zeros(self._k)
-        for j, loss in feedback.observed:
-            estimates[j - 1] = importance_loss_estimate(loss, q[j - 1], True)
-        if eta > 0:
-            self._weights = exp_weight_update(self._weights, eta, estimates)
+        q = pmf @ table.masked
+        self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
         if self._doubling is not None:
             self._doubling, restart, _ = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
             if restart:
-                self._weights = WeightVector.uniform(self._k)
+                self._log_weights = np.zeros(self._k)
 
     def _extra_state(self):
         if self._doubling is None:
@@ -777,10 +839,9 @@ class Exp3(Exp3IP):
     def _resolve_varying(self, graph, probs):
         return self._graph, self._probs  # the internal bandit view, regardless
 
-    def _apply(self, feedback, extras):
-        own = tuple((j, loss) for j, loss in feedback.observed if j == feedback.chosen)
-        filtered = FeedbackEvent(feedback.t, feedback.chosen, own, feedback.incurred_loss)
-        super()._apply(filtered, extras)
+    def _apply(self, chosen, fired, losses, extras):
+        own = fired == chosen - 1
+        super()._apply(chosen, fired[own], losses[own], extras)
 
 
 class _UninformativeBase(_LearnerBase):
@@ -798,7 +859,7 @@ class _UninformativeBase(_LearnerBase):
         self._explore_cursor = 0
         self._epoch: int | None = None
         self._eta_value: float | None = None
-        self._min_obs = config.min_observations
+        self._set_floor(config.min_observations)
 
     @property
     def min_observations(self) -> int:
@@ -810,8 +871,14 @@ class _UninformativeBase(_LearnerBase):
             return self._eta_value
         return eta_at(self.config.schedule, t)
 
+    def _set_floor(self, min_observations: int) -> None:
+        """Set the per-expert sample floor M and recount the exploration
+        rounds still owed, sum over experts of max(M - count, 0)."""
+        self._min_obs = int(min_observations)
+        self._deficit = int(np.maximum(self._min_obs - self._explore_counts, 0).sum())
+
     def _exploring(self) -> bool:
-        return bool((self._explore_counts < self._min_obs).any())
+        return self._deficit > 0
 
     def _next_exploration(self) -> int:
         for _ in range(self._k):
@@ -826,9 +893,13 @@ class _UninformativeBase(_LearnerBase):
         if self._exploring():
             return self._next_exploration(), None
         eta = self._eta(t)
-        pmf = _uniform_mix_pmf(self._weights, eta, self._dom)
-        self._last_pmf = pmf
-        return sample_index(pmf, self._rng), (pmf, eta)
+        choice, pmf, cum = self._sample(_uniform_mix(self._log_weights, eta, self._dom))
+        return choice, (pmf, cum, eta)
+
+    def _explored(self, chosen: int) -> None:
+        """Count a forced-exploration round of ``chosen``, which was short."""
+        self._explore_counts[chosen - 1] += 1
+        self._deficit -= 1
 
     def _advance_epochs(self, t: int) -> None:
         if self._epoch is None:
@@ -848,8 +919,8 @@ class _UninformativeBase(_LearnerBase):
         existing counters/buffers are retained, so the exploration loop only
         tops up the per-expert deficit."""
         self._eta_value = eta
-        self._min_obs = int(min_observations)
-        self._weights = WeightVector.uniform(self._k)
+        self._set_floor(min_observations)
+        self._log_weights = np.zeros(self._k)
 
     def _base_extra(self) -> dict:
         return {
@@ -865,7 +936,7 @@ class _UninformativeBase(_LearnerBase):
         self._explore_cursor = int(extra["explore_cursor"])
         self._epoch = extra["epoch"] if extra["epoch"] is None else int(extra["epoch"])
         self._eta_value = extra["eta_value"]
-        self._min_obs = int(extra["min_observations"])
+        self._set_floor(int(extra["min_observations"]))
 
 
 class Exp3UP(_UninformativeBase):
@@ -881,7 +952,8 @@ class Exp3UP(_UninformativeBase):
         self._xi = config.confidence_width
         if isinstance(config.schedule, DoublingSchedule):
             self._epoch = up_start_epoch(self._k)
-            self._eta_value, self._min_obs, self._xi = up_doubling_params(self._epoch, self._k)
+            self._eta_value, min_obs, self._xi = up_doubling_params(self._epoch, self._k)
+            self._set_floor(min_obs)
 
     @property
     def estimator_state(self) -> ProbabilityEstimatorState:
@@ -896,21 +968,17 @@ class Exp3UP(_UninformativeBase):
         self._xi = xi
         self._restart(eta, min_obs)
 
-    def _apply(self, feedback, extras):
-        targets = self._observed_targets(feedback)
-        realized = self._realized_row(targets)
+    def _apply(self, chosen, fired, losses, extras):
+        realized = self._realized_row(fired)
         if extras is None:  # exploration round: record samples, no weight update
-            self._state.observe_row(feedback.chosen, realized)
-            self._explore_counts[feedback.chosen - 1] += 1
+            self._state.observe_row(chosen, realized)
+            self._explored(chosen)
             return
-        pmf, eta = extras
-        q_hat = _inflated_observation_probs(pmf, self._graph, self._state, self._xi, self._min_obs, targets)
-        estimates = np.zeros(self._k)
-        for (j, loss), q in zip(feedback.observed, q_hat.tolist()):
-            estimates[j - 1] = importance_loss_estimate(loss, q, True)
-        self._state.observe_row(feedback.chosen, realized)
-        if eta > 0:
-            self._weights = exp_weight_update(self._weights, eta, estimates)
+        pmf, _, eta = extras
+        q_hat = _inflated_observation_probs(pmf, self._graph, self._state, self._xi, self._min_obs, fired)
+        values = _importance_estimates(losses, q_hat)
+        self._state.observe_row(chosen, realized)
+        self._exp_update(eta, fired, values)
 
     def _extra_state(self):
         extra = self._base_extra()
@@ -944,7 +1012,8 @@ class Exp3GR(_UninformativeBase):
             if config.epsilon is None:
                 raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
             self._epoch = 0
-            self._eta_value, self._min_obs = gr_doubling_params(0, self._k, len(self._dominating), config.epsilon)
+            self._eta_value, min_obs = gr_doubling_params(0, self._k, len(self._dominating), config.epsilon)
+            self._set_floor(min_obs)
         self._buffers = ResampleBuffer(graph, self._min_obs)
 
     @property
@@ -956,21 +1025,17 @@ class Exp3GR(_UninformativeBase):
         self._restart(eta, min_obs)
         self._buffers.grow(min_obs)
 
-    def _apply(self, feedback, extras):
-        targets = self._observed_targets(feedback)
-        realized = self._realized_row(targets)
+    def _apply(self, chosen, fired, losses, extras):
+        realized = self._realized_row(fired)
         if extras is None:
-            self._buffers.observe_row(feedback.chosen, realized)
-            self._explore_counts[feedback.chosen - 1] += 1
+            self._buffers.observe_row(chosen, realized)
+            self._explored(chosen)
             return
-        pmf, eta = extras
-        trials = _resample_targets(pmf, self._buffers, targets, self._min_obs, self._rng)
-        estimates = np.zeros(self._k)
-        for (j, loss), count in zip(feedback.observed, trials.tolist()):
-            estimates[j - 1] = resampled_loss_estimate(loss, count, True, cap=self._min_obs)
-        self._buffers.observe_row(feedback.chosen, realized)  # window stays strictly pre-round
-        if eta > 0:
-            self._weights = exp_weight_update(self._weights, eta, estimates)
+        _, cum, eta = extras
+        trials = _resample_targets(cum, self._buffers, fired, self._min_obs, self._rng)
+        values = _resampled_estimates(losses, trials, self._min_obs)
+        self._buffers.observe_row(chosen, realized)  # window stays strictly pre-round
+        self._exp_update(eta, fired, values)
 
     def _extra_state(self):
         extra = self._base_extra()
@@ -1017,7 +1082,7 @@ def load_snapshot(text: str, graph: NominalGraph, probs=None):
     )
     learner = make_learner(config, graph, probs=probs, seed=0)
     learner._round = int(payload["round"])
-    learner._weights = WeightVector(np.array(payload["log_weights"], dtype=float))
+    learner._log_weights = WeightVector(np.array(payload["log_weights"], dtype=float)).log_weights
     learner._rng = _decode_rng_state(payload["rng"])
     learner._restore_extra(payload["extra"])
     return learner

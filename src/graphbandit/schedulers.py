@@ -109,12 +109,13 @@ def ip_doubling_step(state: DoublingState, pmf, q, ln_k: float) -> tuple[Doublin
     load stays within 2^epoch the rate is unchanged; on overflow the epoch
     jumps to the smallest value that restores the bound and the caller must
     reset its weights.  Returns (new state, restart?, eta) with
-    eta = sqrt(ln_k / 2^(epoch + 1)).
+    eta = sqrt(ln_k / 2^(epoch + 1)).  ``pmf`` is a ``Pmf`` or its
+    probability vector.
     """
     q = np.asarray(q, dtype=float)
     if (q <= 0).any():
         raise ValueError("observation probabilities must be positive")
-    load = 1.0 + 0.5 * float((pmf.probs / q).sum())
+    load = 1.0 + 0.5 * float((getattr(pmf, "probs", pmf) / q).sum())
     accumulated = state.accumulated + load
     epoch = state.epoch
     restart = False

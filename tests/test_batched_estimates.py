@@ -102,7 +102,7 @@ def test_batched_resampling_matches_per_expert_calls(seed, k, m):
 
     batched_rng = np.random.Generator(np.random.Philox(seed))
     sequential_rng = np.random.Generator(np.random.Philox(seed))
-    batched = _resample_targets(pmf, buffers, targets, m, batched_rng)
+    batched = _resample_targets(pmf.probs.cumsum(), buffers, targets, m, batched_rng)
     sequential = [reference_trials(pmf.probs, graph.adjacency, history, int(t), m, sequential_rng) for t in targets]
 
     assert batched.tolist() == sequential
@@ -121,7 +121,7 @@ def test_batched_inflated_probabilities_are_bit_equal(seed, k, m):
     xi = float(rng.uniform(1.0, 3.0))
     targets = random_targets(rng, k)
 
-    batched = _inflated_observation_probs(pmf, graph, state, xi, m, targets)
+    batched = _inflated_observation_probs(pmf.probs, graph, state, xi, m, targets)
     sequential = np.array([reference_q_hat(pmf.probs, graph.adjacency, state, xi, m, int(t)) for t in targets])
 
     np.testing.assert_array_equal(batched.view(np.uint64), sequential.view(np.uint64))

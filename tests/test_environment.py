@@ -104,6 +104,12 @@ class TestAdversaries:
         with pytest.raises(IngestError):
             FixedTableAdversary.from_csv(path)
 
+    def test_fixed_table_csv_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\nx,y\n0.1,0.9\n0.2,0.8\n")
+        adv = FixedTableAdversary.from_csv(path)
+        np.testing.assert_allclose(adv.table, [[0.1, 0.9], [0.2, 0.8]])
+
     def test_fixed_table_csv_first_row_with_empty_cell(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("0.1,,0.2\n0.2,0.3,0.1\n")

@@ -185,6 +185,12 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="line\\(s\\) 1"):
             load_csv(path, 2)
 
+    def test_bad_row_after_a_blank_line_reported_at_its_physical_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n\n1,0.2\nx,0.3\n")
+        with pytest.raises(IngestError, match="line\\(s\\) 4$"):
+            load_csv(path, "b")
+
     def test_duplicate_header_names(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["x1", "y", "y"], [[i, i, i] for i in range(25)])

@@ -23,7 +23,6 @@ from graphbandit.policies import (
     geometric_resample,
     load_snapshot,
     make_learner,
-    observation_prob,
     observation_probs,
     resampled_loss_estimate,
 )
@@ -117,12 +116,12 @@ class TestObservationProb:
         pmf = Pmf(np.array([0.2, 0.3, 0.5]))
         p = constant_table(g, 1.0)
         for i in range(1, 4):
-            assert observation_prob(pmf, g, p, i) == pmf.probs[i - 1]
+            assert observation_probs(pmf, g, p)[i - 1] == pmf.probs[i - 1]
 
     def test_hand_sum(self):
         g = NominalGraph.complete(2)
         pmf = Pmf(np.array([0.75, 0.25]))
-        assert observation_prob(pmf, g, constant_table(g, 0.5), 1) == pytest.approx(0.5)
+        assert observation_probs(pmf, g, constant_table(g, 0.5))[0] == pytest.approx(0.5)
 
     def test_certain_complete_graph_always_observes(self):
         g = NominalGraph.complete(4)
@@ -257,7 +256,7 @@ class TestEstimatedObservationProb:
                 if (errors <= margin).all():
                     hits += 1
                     q_hat = estimated_observation_prob(pmf, g, state, xi, m, i)
-                    assert q_hat >= observation_prob(pmf, g, p, i)
+                    assert q_hat >= observation_probs(pmf, g, p)[i - 1]
         assert hits > 100  # the premise actually fired
 
 
