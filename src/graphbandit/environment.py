@@ -181,7 +181,7 @@ def realize_feedback(
         raise ContractError(f"expected {graph.num_experts} losses, got shape {losses.shape}")
     if not (losses.min() >= 0 and losses.max() <= 1):  # NaN fails both
         raise ContractError("losses must lie in [0, 1]")
-    return _event(t, chosen, _fire(graph, probs, chosen, rng), losses)
+    return _event(t, chosen, _fire(graph, probs, chosen, rng)[0], losses)
 
 
 def _check_chosen(graph: NominalGraph, chosen: int) -> None:
@@ -189,11 +189,15 @@ def _check_chosen(graph: NominalGraph, chosen: int) -> None:
         raise ValueError(f"chosen index {chosen} out of range 1..{graph.num_experts}")
 
 
-def _fire(graph: NominalGraph, probs: EdgeProbabilityTable, chosen: int, rng: np.random.Generator) -> np.ndarray:
-    """The kernel behind ``realize_feedback``: the ascending 0-based positions
-    of ``chosen``'s out-edges that fire, one uniform drawn per out-edge."""
+def _fire(
+    graph: NominalGraph, probs: EdgeProbabilityTable, chosen: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel behind ``realize_feedback``, one uniform drawn per out-edge
+    of ``chosen``: the ascending 0-based positions that fire, and the hit
+    mask over ``chosen``'s out-positions they were read from."""
     out = graph.out_positions[chosen - 1]
-    return out[rng.random(out.size) < probs.probs[chosen - 1, out]]
+    hits = rng.random(out.size) < probs.probs[chosen - 1, out]
+    return out[hits], hits
 
 
 def _event(t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> FeedbackEvent:
@@ -219,8 +223,9 @@ def run_episode(
 
     The loss table is checked once, before round 1.  The learners of this
     package take each round's feedback as arrays (``_observe``: the round,
-    the chosen index, the fired positions and their losses); any other object
-    with ``select``/``update`` gets a ``FeedbackEvent``, as from
+    the chosen index, the fired positions, their losses and the hit mask over
+    the chosen expert's out-positions); any other object with
+    ``select``/``update`` gets a ``FeedbackEvent``, as from
     ``realize_feedback``.
     """
     if horizon < 1:
@@ -245,10 +250,10 @@ def run_episode(
             g_t, p_t = graphs(t)
             pick = learner.select(t, g_t, p_t)
         _check_chosen(g_t, pick)
-        fired = _fire(g_t, p_t, pick, feedback_rng)
+        fired, hits = _fire(g_t, p_t, pick, feedback_rng)
         losses = table[t - 1]
         if observe is not None:
-            observe(t, pick, fired, losses[fired])
+            observe(t, pick, fired, losses[fired], hits)
         else:
             learner.update(_event(t, pick, fired, losses))
         chosen[t - 1] = pick

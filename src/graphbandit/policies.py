@@ -209,8 +209,10 @@ def exploration_index(t: int, num_experts: int, min_observations: int | None = N
 # ---------------------------------------------------------------------------
 
 
-def _out_edge_hits(graph: NominalGraph, chosen: int, realized) -> tuple[np.ndarray, np.ndarray]:
-    """``chosen``'s out-neighbour positions and the length-K row ``realized`` read on them."""
+def _out_edge_hits(graph: NominalGraph, chosen: int, realized) -> np.ndarray:
+    """The length-K row ``realized`` read on ``chosen``'s out-neighbour
+    positions: the hit mask the record kernels take.  Raises for an
+    activation on a non-edge."""
     if not 1 <= chosen <= graph.num_experts:
         raise ValueError(f"chosen index {chosen} out of range")
     realized = np.asarray(realized, dtype=bool)
@@ -220,18 +222,26 @@ def _out_edge_hits(graph: NominalGraph, chosen: int, realized) -> tuple[np.ndarr
     hits = realized[out]
     if np.count_nonzero(realized) != np.count_nonzero(hits):
         raise ContractError("activation reported for a non-edge")
-    return out, hits
+    return hits
 
 
 class ProbabilityEstimatorState:
     """Per-edge Bernoulli sample means, fed by rounds where the edge's source
-    was the chosen expert."""
+    was the chosen expert.
+
+    For the sample floor M and the inflation xi/sqrt(M) last given to
+    ``_track`` (0 and 0.0 until then), the state also keeps the number of
+    edges holding fewer than M samples and the inflated divisors
+    (``_inflated_divisors``); ``_record`` keeps both current, touching only
+    the recorded source's out-edges.
+    """
 
     def __init__(self, graph: NominalGraph):
         self._graph = graph
         k = graph.num_experts
         self.counts = np.zeros((k, k), dtype=np.int64)
         self.sums = np.zeros((k, k), dtype=np.int64)
+        self._track(0, 0.0)
 
     @property
     def graph(self) -> NominalGraph:
@@ -249,9 +259,30 @@ class ProbabilityEstimatorState:
         j's loss was revealed.  A True entry on a non-edge is a contract
         violation.
         """
-        out, hits = _out_edge_hits(self._graph, chosen, realized)
-        self.counts[chosen - 1, out] += 1
-        self.sums[chosen - 1, out] += hits
+        self._record(chosen - 1, _out_edge_hits(self._graph, chosen, realized))
+
+    def _record(self, source: int, hits: np.ndarray) -> None:
+        """One sample for every out-edge of the 0-based ``source``; ``hits``
+        is the hit mask over its out-positions (targets ascending)."""
+        out = self._graph.out_positions[source]
+        count_row, sum_row = self.counts[source], self.sums[source]
+        counts = count_row[out] + 1
+        sums = sum_row[out] + hits
+        count_row[out] = counts
+        sum_row[out] = sums
+        if self._short:  # with none short, every count was at the floor or past it
+            self._short -= np.count_nonzero(counts == self._floor)
+        # The rebuild's division and addition; its x 1.0 on an edge is exact.
+        self._divisors[:, source][out] = sums / counts + self._inflation
+
+    def _track(self, floor: int, inflation: float) -> None:
+        """Set the sample floor and the inflation; recount the edges below
+        the floor and rebuild the divisors."""
+        adjacency = self._graph.adjacency
+        self._floor = floor
+        self._inflation = inflation
+        self._short = int(np.count_nonzero((self.counts < floor) & adjacency))
+        self._divisors = _inflated_divisors(adjacency, self.estimates, inflation)
 
 
 def estimated_observation_prob(
@@ -286,19 +317,33 @@ def _inflated_observation_probs(
     targets: np.ndarray,
 ) -> np.ndarray:
     """estimated_observation_prob for every 0-based expert in ``targets`` at
-    once, under the selection vector ``probs``: one contiguous length-K row
-    per target, summed along the row."""
-    in_mask = graph.adjacency.T[targets]
-    counts = state.counts.T[targets]
-    short = ((counts < min_observations) & in_mask).any(axis=1)
+    once, under the selection vector ``probs``, from divisors rebuilt from
+    ``state``'s counts: one contiguous length-K row per target, summed along
+    the row."""
+    _check_in_edges(graph, state.counts, min_observations, targets)
+    inflation = confidence_width / math.sqrt(min_observations)
+    divisors = _inflated_divisors(graph.adjacency, state.estimates, inflation)
+    return (probs * divisors[targets]).sum(axis=-1)
+
+
+def _check_in_edges(graph: NominalGraph, counts: np.ndarray, min_observations: int, targets: np.ndarray) -> None:
+    """Raise for the first of ``targets`` with an in-edge holding fewer than
+    ``min_observations`` samples."""
+    short = ((counts.T[targets] < min_observations) & graph.adjacency.T[targets]).any(axis=1)
     if short.any():
         raise PhaseOrderError(
             f"an in-edge of expert {targets[short.argmax()] + 1} has fewer than {min_observations} samples; "
             "exploration is incomplete"
         )
-    inflation = confidence_width / math.sqrt(min_observations)
-    phat = np.where(counts > 0, state.sums.T[targets] / np.maximum(counts, 1), 0.0)
-    return (probs * (phat + inflation) * in_mask).sum(axis=-1)
+
+
+def _inflated_divisors(adjacency: np.ndarray, phat: np.ndarray, inflation: float) -> np.ndarray:
+    """D = ((phat + inflation) * A)^T as a contiguous (K, K) array: row t
+    holds phat(s, t) + inflation for each in-edge (s, t) of t, 0 elsewhere,
+    so (pmf * D[t]).sum() is t's inflated observation probability.  Bit-equal
+    to multiplying pmf, phat + inflation and the in-edge mask in turn: x 1.0
+    is exact, and (pi * x) * 0 = pi * 0 = 0."""
+    return np.ascontiguousarray(((phat + inflation) * adjacency).T)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +361,10 @@ class ResampleBuffer:
     n samples written, the next lands in column n mod capacity, so a full
     ring overwrites its oldest sample.  The array is only as wide as the
     fullest ring needs (it doubles on demand, up to the capacity), so its
-    size follows the samples held, not the capacity.
+    size follows the samples held, not the capacity.  A source's out-edges
+    are a contiguous range of ids, targets ascending.  The buffer counts the
+    edges whose rings are not yet full, so a window check costs O(1) once
+    every ring is.
     """
 
     def __init__(self, graph: NominalGraph, capacity: int):
@@ -329,6 +377,8 @@ class ResampleBuffer:
         num_edges = self._sources.size
         self._edge_id = np.full(adjacency.shape, -1, dtype=np.int64)
         self._edge_id[self._sources, self._targets] = np.arange(num_edges)
+        bounds = np.searchsorted(self._sources, np.arange(graph.num_experts + 1)).tolist()
+        self._out_edges = tuple((slice(lo, hi), np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]))
         # Resampling block layout per target: column 0 is its draw row, column
         # 1 + d its in-edge from d.  The draw row carries the target's own
         # self-loop, an in-edge it always has.
@@ -342,6 +392,7 @@ class ResampleBuffer:
         # Samples written per edge since the ring last held them oldest-first
         # from column 0; min(written, capacity) of them are held.
         self._written = np.zeros(num_edges, dtype=np.int64)
+        self._count_short()
 
     @property
     def capacity(self) -> int:
@@ -353,14 +404,27 @@ class ResampleBuffer:
 
     def observe_row(self, chosen: int, realized) -> None:
         """Append one round's activations for every out-edge of ``chosen``."""
-        out, hits = _out_edge_hits(self._graph, chosen, realized)
-        edges = self._edge_id[chosen - 1, out]
-        written = self._written[edges]
+        self._record(chosen - 1, _out_edge_hits(self._graph, chosen, realized))
+
+    def _record(self, source: int, hits: np.ndarray) -> None:
+        """Append one sample to every out-edge of the 0-based ``source``;
+        ``hits`` is the hit mask over its out-positions (targets ascending)."""
+        span, edges = self._out_edges[source]
+        written = self._written[span]  # a view: the increment below writes through
         cols = written % self._capacity
         if self._ring.shape[1] < self._capacity:
             self._widen(int(cols.max()) + 1)
         self._ring[edges, cols] = hits
-        self._written[edges] = written + 1
+        written += 1
+        # With none short, every ring was already full.  While the ring array
+        # is narrower than the capacity, no count exceeds its width, so none
+        # can have reached the capacity.
+        if self._short and self._ring.shape[1] == self._capacity:
+            self._short -= np.count_nonzero(written == self._capacity)
+
+    def _count_short(self) -> None:
+        """Recount the edges whose rings are not full."""
+        self._short = int(np.count_nonzero(self._written < self._capacity))
 
     def _widen(self, width: int) -> None:
         old = self._ring.shape[1]
@@ -386,9 +450,10 @@ class ResampleBuffer:
             self._ring[e, :cap] = np.roll(self._ring[e, :cap], -(self._written[e] % cap))
         self._written = self._held()
         self._capacity = int(new_capacity)
+        self._count_short()
 
     def is_full(self) -> bool:
-        return bool((self._written >= self._capacity).all())
+        return self._short == 0
 
     def resample_layout(self, targets0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of one resampling block for the 0-based ``targets0``: each
@@ -411,15 +476,17 @@ class ResampleBuffer:
 
     def _full_windows(self, edges: np.ndarray, window: int) -> np.ndarray:
         """The write counts of ``edges``; raises while one holds fewer than
-        ``window`` samples."""
+        ``window`` samples.  Once every ring is full, no window up to the
+        capacity can be short."""
         written = self._written[edges]
-        short = np.minimum(written, self._capacity) < window
-        if short.any():
-            e = edges[short.argmax()]
-            raise PhaseOrderError(
-                f"edge ({self._sources[e] + 1}, {self._targets[e] + 1}) holds {self._held()[e]} samples, "
-                f"needs {window}"
-            )
+        if self._short or window > self._capacity:
+            short = np.minimum(written, self._capacity) < window
+            if short.any():
+                e = edges[short.argmax()]
+                raise PhaseOrderError(
+                    f"edge ({self._sources[e] + 1}, {self._targets[e] + 1}) holds {self._held()[e]} samples, "
+                    f"needs {window}"
+                )
         return written
 
     def _window_samples(self, edges, written, window: int, slots) -> np.ndarray:
@@ -451,6 +518,7 @@ class ResampleBuffer:
             buffers._widen(len(values))
             buffers._ring[e, : len(values)] = values
             buffers._written[e] = len(values)
+        buffers._count_short()
         return buffers
 
 
@@ -637,13 +705,18 @@ class _LearnerBase:
         observed = feedback.observed
         fired = np.fromiter((j - 1 for j, _ in observed), dtype=np.int64, count=len(observed))
         losses = np.fromiter((loss for _, loss in observed), dtype=float, count=len(observed))
-        self._observe(t, choice, fired, losses)
+        self._observe(t, choice, fired, losses, None)
 
-    def _observe(self, t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> None:
+    def _observe(self, t: int, chosen: int, fired: np.ndarray, losses: np.ndarray, hits) -> None:
         """Take the feedback of the round ``select`` just chose ``chosen``
         for: the 0-based positions whose losses were revealed, in feedback
-        order, and those losses.  ``run_episode`` calls this directly."""
-        self._apply(chosen, fired, losses, self._pending[2])
+        order, those losses, and the hit mask over ``chosen``'s
+        out-positions that ``environment._fire`` drew them from.
+        ``run_episode`` calls this directly.  ``hits`` is None when the
+        feedback came through ``update``: nothing checked it before round 1,
+        so the learner checks what ``_fire`` and the loss-table check
+        guarantee (``_hits``, ``Exp3._apply``)."""
+        self._apply(chosen, fired, losses, hits, self._pending[2])
         self._pending = None
         self._round = t
 
@@ -668,7 +741,7 @@ class _LearnerBase:
     def _choose(self, t, graph, probs):
         raise NotImplementedError
 
-    def _apply(self, chosen, fired, losses, extras):
+    def _apply(self, chosen, fired, losses, hits, extras):
         raise NotImplementedError
 
     # -- shared steps --------------------------------------------------------
@@ -688,11 +761,6 @@ class _LearnerBase:
             estimates = np.zeros(self._k)
             estimates[fired] = values
             self._log_weights = _exp_weight_step(self._log_weights, eta, estimates)
-
-    def _realized_row(self, targets: np.ndarray) -> np.ndarray:
-        realized = np.zeros(self._k, dtype=bool)
-        realized[targets] = True
-        return realized
 
     # -- snapshots ---------------------------------------------------------
 
@@ -784,7 +852,7 @@ class Exp3IP(_LearnerBase):
         choice, pmf, _ = self._sample(_informed_mix(self._log_weights, eta, table))
         return choice, (pmf, eta, table)
 
-    def _apply(self, chosen, fired, losses, extras):
+    def _apply(self, chosen, fired, losses, hits, extras):
         pmf, eta, table = extras
         q = pmf @ table.masked
         self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
@@ -839,9 +907,13 @@ class Exp3(Exp3IP):
     def _resolve_varying(self, graph, probs):
         return self._graph, self._probs  # the internal bandit view, regardless
 
-    def _apply(self, chosen, fired, losses, extras):
+    def _apply(self, chosen, fired, losses, hits, extras):
+        if hits is None:
+            # Through update, a bad loss anywhere in the feedback raises, as
+            # in exp3-ip; estimating against q = 1 checks only the losses.
+            _importance_estimates(losses, np.ones(losses.size))
         own = fired == chosen - 1
-        super()._apply(chosen, fired[own], losses[own], extras)
+        super()._apply(chosen, fired[own], losses[own], hits, extras)
 
 
 class _UninformativeBase(_LearnerBase):
@@ -901,6 +973,16 @@ class _UninformativeBase(_LearnerBase):
         self._explore_counts[chosen - 1] += 1
         self._deficit -= 1
 
+    def _hits(self, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
+        """The round's hit mask over ``chosen``'s out-positions.  Feedback
+        from ``update`` (``hits`` None) was not drawn by ``_fire``, so its
+        activations are checked against the graph here, before recording."""
+        if hits is None:
+            realized = np.zeros(self._k, dtype=bool)
+            realized[fired] = True
+            hits = _out_edge_hits(self._graph, chosen, realized)
+        return hits
+
     def _advance_epochs(self, t: int) -> None:
         if self._epoch is None:
             return
@@ -947,9 +1029,10 @@ class Exp3UP(_UninformativeBase):
     algorithm = "exp3-up"
 
     def __init__(self, config, graph, probs=None, seed=0):
-        super().__init__(config, graph, probs, seed)
+        # Set first: the base constructor sets the floor, which tracks it on the state.
         self._state = ProbabilityEstimatorState(graph)
         self._xi = config.confidence_width
+        super().__init__(config, graph, probs, seed)
         if isinstance(config.schedule, DoublingSchedule):
             self._epoch = up_start_epoch(self._k)
             self._eta_value, min_obs, self._xi = up_doubling_params(self._epoch, self._k)
@@ -963,21 +1046,26 @@ class Exp3UP(_UninformativeBase):
     def confidence_width(self) -> float:
         return self._xi
 
+    def _set_floor(self, min_observations: int) -> None:
+        super()._set_floor(min_observations)
+        self._state._track(self._min_obs, self._xi / math.sqrt(self._min_obs))
+
     def _apply_epoch_params(self) -> None:
         eta, min_obs, xi = up_doubling_params(self._epoch, self._k)
         self._xi = xi
         self._restart(eta, min_obs)
 
-    def _apply(self, chosen, fired, losses, extras):
-        realized = self._realized_row(fired)
+    def _apply(self, chosen, fired, losses, hits, extras):
+        state = self._state
         if extras is None:  # exploration round: record samples, no weight update
-            self._state.observe_row(chosen, realized)
+            state._record(chosen - 1, self._hits(chosen, fired, hits))
             self._explored(chosen)
             return
         pmf, _, eta = extras
-        q_hat = _inflated_observation_probs(pmf, self._graph, self._state, self._xi, self._min_obs, fired)
-        values = _importance_estimates(losses, q_hat)
-        self._state.observe_row(chosen, realized)
+        if state._short:  # no in-edge can be short once every edge holds M samples
+            _check_in_edges(self._graph, state.counts, self._min_obs, fired)
+        values = _importance_estimates(losses, (pmf * state._divisors[fired]).sum(axis=-1))
+        state._record(chosen - 1, self._hits(chosen, fired, hits))
         self._exp_update(eta, fired, values)
 
     def _extra_state(self):
@@ -992,10 +1080,10 @@ class Exp3UP(_UninformativeBase):
         return extra
 
     def _restore_extra(self, extra):
-        self._restore_base_extra(extra)
         self._state.counts = np.array(extra["counts"], dtype=np.int64)
         self._state.sums = np.array(extra["sums"], dtype=np.int64)
         self._xi = float(extra["confidence_width"])
+        self._restore_base_extra(extra)  # sets the floor, which rebuilds the divisors
 
 
 class Exp3GR(_UninformativeBase):
@@ -1025,16 +1113,15 @@ class Exp3GR(_UninformativeBase):
         self._restart(eta, min_obs)
         self._buffers.grow(min_obs)
 
-    def _apply(self, chosen, fired, losses, extras):
-        realized = self._realized_row(fired)
+    def _apply(self, chosen, fired, losses, hits, extras):
         if extras is None:
-            self._buffers.observe_row(chosen, realized)
+            self._buffers._record(chosen - 1, self._hits(chosen, fired, hits))
             self._explored(chosen)
             return
         _, cum, eta = extras
         trials = _resample_targets(cum, self._buffers, fired, self._min_obs, self._rng)
         values = _resampled_estimates(losses, trials, self._min_obs)
-        self._buffers.observe_row(chosen, realized)  # window stays strictly pre-round
+        self._buffers._record(chosen - 1, self._hits(chosen, fired, hits))  # window stays strictly pre-round
         self._exp_update(eta, fired, values)
 
     def _extra_state(self):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from graphbandit.cli import main
 
@@ -40,6 +41,22 @@ class TestSimulate:
             "--T", "30", "--runs", "1",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "body, line, reason",
+        [
+            ("edge 1 2 nan\n", 4, "probability nan outside (0, 1]"),
+            ("edge 1 2 inf\n", 4, "probability inf outside (0, 1]"),
+            ("edge 1 2 0.5\nedge 1 2 0.5\n", 5, "duplicate edge (1, 2)"),
+        ],
+        ids=["nan", "inf", "duplicate"],
+    )
+    def test_bad_graph_file_is_config_error_naming_the_line(self, tmp_path, capsys, body, line, reason):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("K=2\nedge 1 1 1\nedge 2 2 1\n" + body)
+        code = run_cli(["simulate", "--algo", "exp3-dom", "--graph", str(graph_file), "--T", "10", "--runs", "1"])
+        assert code == 2
+        assert f"{graph_file}:{line}: {reason}" in capsys.readouterr().err
 
     def test_missing_k_is_config_error(self, capsys):
         assert run_cli(["simulate", "--algo", "exp3", "--T", "10"]) == 2
