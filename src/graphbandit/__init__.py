@@ -46,7 +46,6 @@ from .policies import (
     estimated_observation_prob,
     exp3ip_pmf,
     exp3up_pmf,
-    exploration_index,
     geometric_resample,
     load_snapshot,
     make_learner,

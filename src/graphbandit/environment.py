@@ -11,6 +11,7 @@ consume identical learner streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -194,10 +195,25 @@ def _fire(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kernel behind ``realize_feedback``, one uniform drawn per out-edge
     of ``chosen``: the ascending 0-based positions that fire, and the hit
-    mask over ``chosen``'s out-positions they were read from."""
+    mask over ``chosen``'s out-positions they were read from.  ``_fire_run``
+    draws the masks of many rounds at once."""
     out = graph.out_positions[chosen - 1]
     hits = rng.random(out.size) < probs.probs[chosen - 1, out]
     return out[hits], hits
+
+
+def _fire_run(graph: NominalGraph, probs: EdgeProbabilityTable, picks: np.ndarray, rng: np.random.Generator):
+    """``_fire``'s hit masks for rounds that choose the 1-based ``picks`` in
+    turn, concatenated, and where each round's mask starts.  One draw gives
+    the values, and the generator state, of one ``_fire`` call per round:
+    ``Generator.random`` does not depend on how its output is chunked."""
+    degree = graph.adjacency.sum(axis=1)
+    lengths = degree[picks - 1]
+    starts = np.cumsum(lengths) - lengths
+    # Row-major edge ids: a source's out-edges are a contiguous range, targets ascending.
+    first_edge = np.cumsum(degree) - degree
+    edges = np.arange(lengths.sum()) + np.repeat(first_edge[picks - 1] - starts, lengths)
+    return rng.random(edges.size) < probs.probs[graph.adjacency][edges], starts
 
 
 def _event(t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> FeedbackEvent:
@@ -227,6 +243,13 @@ def run_episode(
     the chosen expert's out-positions); any other object with
     ``select``/``update`` gets a ``FeedbackEvent``, as from
     ``realize_feedback``.
+
+    On a static graph, exp3-up and exp3-gr play each run of forced-
+    exploration rounds as one block (``_explore_run``), until the deficit is
+    paid, the doubling epoch ends or the horizon: choices as ``select``
+    makes them, one draw of the activations (``_fire_run``), one record per
+    explored expert.  Forced rounds leave the weights and the learner's
+    generator alone, so everything ends as with one round at a time.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -241,8 +264,17 @@ def run_episode(
         raise ContractError("adversary produced losses outside [0, 1] or non-finite")
 
     observe = getattr(learner, "_observe", None)
+    explore = getattr(learner, "_explore_run", None) if graphs is None else None
+    fire_run = partial(_fire_run, graph, probs, rng=feedback_rng)
     chosen = np.empty(horizon, dtype=np.int64)
-    for t in range(1, horizon + 1):
+    t = 1
+    while t <= horizon:
+        if explore is not None:
+            picks = explore(t, horizon, fire_run)
+            if picks.size:
+                chosen[t - 1 : t - 1 + picks.size] = picks
+                t += picks.size
+                continue
         if graphs is None:
             g_t, p_t = graph, probs
             pick = learner.select(t, g_t)
@@ -257,6 +289,7 @@ def run_episode(
         else:
             learner.update(_event(t, pick, fired, losses))
         chosen[t - 1] = pick
+        t += 1
     incurred = table[np.arange(horizon), chosen - 1]
     return RunTrace(incurred=incurred, chosen=chosen, loss_table=table, seed=seed)
 

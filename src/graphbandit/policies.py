@@ -57,7 +57,6 @@ __all__ = [
     "exp3ip_pmf",
     "exp3up_pmf",
     "observation_probs",
-    "exploration_index",
     "estimated_observation_prob",
     "geometric_resample",
     "resampled_loss_estimate",
@@ -73,6 +72,8 @@ __all__ = [
 ALGORITHMS = ("exp3", "exp3-dom", "exp3-ip", "exp3-up", "exp3-gr")
 
 SNAPSHOT_VERSION = 1
+
+_NO_CHOICES = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -192,18 +193,6 @@ def observation_probs(pmf: Pmf, graph: NominalGraph, probs: EdgeProbabilityTable
     return pmf.probs @ masked
 
 
-def exploration_index(t: int, num_experts: int, min_observations: int | None = None) -> int:
-    """Round-robin choice during forced exploration: ((t-1) mod K) + 1, so the
-    first K*M rounds select each expert exactly M times."""
-    if t < 1:
-        raise ValueError(f"round numbers start at 1, got {t}")
-    if num_experts < 1:
-        raise ValueError("need at least one expert")
-    if min_observations is not None and t > num_experts * min_observations:
-        raise ValueError(f"round {t} is past the {num_experts * min_observations}-round exploration phase")
-    return (t - 1) % num_experts + 1
-
-
 # ---------------------------------------------------------------------------
 # Edge-probability estimation (uninformative, estimation-based)
 # ---------------------------------------------------------------------------
@@ -262,16 +251,18 @@ class ProbabilityEstimatorState:
         self._record(chosen - 1, _out_edge_hits(self._graph, chosen, realized))
 
     def _record(self, source: int, hits: np.ndarray) -> None:
-        """One sample for every out-edge of the 0-based ``source``; ``hits``
-        is the hit mask over its out-positions (targets ascending)."""
+        """Samples for every out-edge of the 0-based ``source``: ``hits`` is
+        one hit mask over its out-positions (targets ascending), or an
+        (n, out-degree) run of them, one row per round, oldest first."""
         out = self._graph.out_positions[source]
         count_row, sum_row = self.counts[source], self.sums[source]
-        counts = count_row[out] + 1
-        sums = sum_row[out] + hits
+        n, hit_counts = (1, hits) if hits.ndim == 1 else (hits.shape[0], np.count_nonzero(hits, axis=0))
+        counts = count_row[out] + n
+        sums = sum_row[out] + hit_counts
         count_row[out] = counts
         sum_row[out] = sums
         if self._short:  # with none short, every count was at the floor or past it
-            self._short -= np.count_nonzero(counts == self._floor)
+            self._short -= np.count_nonzero((counts >= self._floor) & (counts < self._floor + n))
         # The rebuild's division and addition; its x 1.0 on an edge is exact.
         self._divisors[:, source][out] = sums / counts + self._inflation
 
@@ -407,30 +398,41 @@ class ResampleBuffer:
         self._record(chosen - 1, _out_edge_hits(self._graph, chosen, realized))
 
     def _record(self, source: int, hits: np.ndarray) -> None:
-        """Append one sample to every out-edge of the 0-based ``source``;
-        ``hits`` is the hit mask over its out-positions (targets ascending)."""
+        """Append samples to every out-edge of the 0-based ``source``:
+        ``hits`` is one hit mask over its out-positions (targets ascending),
+        or an (n, out-degree) run of them, one row per round, oldest first."""
         span, edges = self._out_edges[source]
+        cap = self._capacity
         written = self._written[span]  # a view: the increment below writes through
-        cols = written % self._capacity
-        if self._ring.shape[1] < self._capacity:
+        if hits.ndim == 1:
+            n, cols = 1, written % cap
+        else:  # of a run longer than the ring, only the last capacity rows are held
+            n, hits = hits.shape[0], hits[-cap:]
+            cols = (written + np.arange(n - hits.shape[0], n)[:, None]) % cap
+        if self._ring.shape[1] < cap:
             self._widen(int(cols.max()) + 1)
         self._ring[edges, cols] = hits
-        written += 1
+        written += n
         # With none short, every ring was already full.  While the ring array
         # is narrower than the capacity, no count exceeds its width, so none
         # can have reached the capacity.
-        if self._short and self._ring.shape[1] == self._capacity:
-            self._short -= np.count_nonzero(written == self._capacity)
+        if self._short and self._ring.shape[1] == cap:
+            self._short -= np.count_nonzero((written >= cap) & (written < cap + n))
 
     def _count_short(self) -> None:
         """Recount the edges whose rings are not full."""
         self._short = int(np.count_nonzero(self._written < self._capacity))
 
     def _widen(self, width: int) -> None:
+        """Double the ring array until it is ``width`` wide, up to the capacity:
+        a run's one write widens it as its rows written one by one would."""
         old = self._ring.shape[1]
         if width <= old:
             return
-        ring = np.zeros((self._ring.shape[0], min(self._capacity, max(width, 2 * old))), dtype=np.uint8)
+        new = max(old, 1)
+        while new < width:
+            new *= 2
+        ring = np.zeros((self._ring.shape[0], min(self._capacity, new)), dtype=np.uint8)
         ring[:, :old] = self._ring
         self._ring = ring
 
@@ -685,14 +687,18 @@ class _LearnerBase:
         self._rng = np.random.Generator(np.random.Philox(seed))
 
     def select(self, t: int, graph: NominalGraph | None = None, probs=None) -> int:
-        if self._pending is not None:
-            raise ProtocolError("select called twice without an update in between")
-        if t != self._round + 1:
-            raise ProtocolError(f"expected round {self._round + 1}, got {t}")
+        self._check_turn(t)
         g, p = self._resolve_graph(graph, probs)
         choice, extras = self._choose(t, g, p)
         self._pending = (t, choice, extras)
         return choice
+
+    def _check_turn(self, t: int) -> None:
+        """Raise unless round ``t`` is the next one to choose for."""
+        if self._pending is not None:
+            raise ProtocolError("select called twice without an update in between")
+        if t != self._round + 1:
+            raise ProtocolError(f"expected round {self._round + 1}, got {t}")
 
     def update(self, feedback: FeedbackEvent) -> None:
         if self._pending is None:
@@ -761,6 +767,16 @@ class _LearnerBase:
             estimates = np.zeros(self._k)
             estimates[fired] = values
             self._log_weights = _exp_weight_step(self._log_weights, eta, estimates)
+
+    def _hits(self, graph: NominalGraph, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
+        """The round's hit mask over ``chosen``'s out-positions in ``graph``.
+        Feedback from ``update`` (``hits`` None) was not drawn by ``_fire``,
+        so its activations are checked against the graph here."""
+        if hits is None:
+            realized = np.zeros(self._k, dtype=bool)
+            realized[fired] = True
+            hits = _out_edge_hits(graph, chosen, realized)
+        return hits
 
     # -- snapshots ---------------------------------------------------------
 
@@ -850,12 +866,15 @@ class Exp3IP(_LearnerBase):
         table = self._table if graph is self._graph else _GraphTable.build(graph, probs, greedy_dominating_set(graph))
         eta = self._eta(t)
         choice, pmf, _ = self._sample(_informed_mix(self._log_weights, eta, table))
-        return choice, (pmf, eta, table)
+        return choice, (pmf, eta, table, graph)
 
     def _apply(self, chosen, fired, losses, hits, extras):
-        pmf, eta, table = extras
+        pmf, eta, table, graph = extras
         q = pmf @ table.masked
-        self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
+        values = _importance_estimates(losses, q[fired])
+        if hits is None:  # after the loss check, as in exp3-up and exp3-gr
+            self._hits(graph, chosen, fired, hits)
+        self._exp_update(eta, fired, values)
         if self._doubling is not None:
             self._doubling, restart, _ = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
             if restart:
@@ -917,7 +936,9 @@ class Exp3(Exp3IP):
 
 
 class _UninformativeBase(_LearnerBase):
-    """Shared forced-exploration machinery for the uninformative learners."""
+    """Shared forced-exploration machinery for the uninformative learners.
+    A subclass gives its per-edge sample store (``_store``) and the loss
+    estimates of a pmf-driven round (``_estimates``)."""
 
     requires_static_graph = True
 
@@ -973,15 +994,42 @@ class _UninformativeBase(_LearnerBase):
         self._explore_counts[chosen - 1] += 1
         self._deficit -= 1
 
-    def _hits(self, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
-        """The round's hit mask over ``chosen``'s out-positions.  Feedback
-        from ``update`` (``hits`` None) was not drawn by ``_fire``, so its
-        activations are checked against the graph here, before recording."""
-        if hits is None:
-            realized = np.zeros(self._k, dtype=bool)
-            realized[fired] = True
-            hits = _out_edge_hits(self._graph, chosen, realized)
-        return hits
+    def _explore_run(self, t: int, horizon: int, fire) -> np.ndarray:
+        """Play the forced rounds from round ``t`` on, up to the deficit, the
+        end of the doubling epoch and ``horizon``, as one block; returns
+        their 1-based choices (none when round t is not forced).  Each is
+        chosen as ``select`` would; ``fire`` is ``environment._fire_run``
+        for the block, and each source's rows are recorded in one call."""
+        if not self._deficit and (self._epoch is None or t <= 2 ** (self._epoch + 1)):
+            return _NO_CHOICES  # no round owed and no restart due to raise the floor
+        self._check_turn(t)
+        self._advance_epochs(t)
+        n = min(self._deficit, horizon - t + 1)
+        if self._epoch is not None:
+            n = min(n, 2 ** (self._epoch + 1) - t + 1)
+        picks = np.empty(n, dtype=np.int64)
+        for r in range(n):
+            picks[r] = choice = self._next_exploration()
+            self._explored(choice)
+        if n:
+            hits, starts = fire(picks)
+            order = np.argsort(picks, kind="stable")
+            sources, first = np.unique(picks[order], return_index=True)
+            for source, rows in zip(sources.tolist(), np.split(starts[order], first[1:])):
+                degree = self._graph.out_positions[source - 1].size
+                self._store._record(source - 1, hits[rows[:, None] + np.arange(degree)])
+            self._round = t + n - 1
+        return picks
+
+    def _apply(self, chosen, fired, losses, hits, extras):
+        if extras is None:  # exploration round: record samples, no weight update
+            self._store._record(chosen - 1, self._hits(self._graph, chosen, fired, hits))
+            self._explored(chosen)
+            return
+        values = self._estimates(fired, losses, extras)
+        # Recorded after estimating, so the round's estimates read only earlier rounds.
+        self._store._record(chosen - 1, self._hits(self._graph, chosen, fired, hits))
+        self._exp_update(extras[2], fired, values)
 
     def _advance_epochs(self, t: int) -> None:
         if self._epoch is None:
@@ -1055,18 +1103,15 @@ class Exp3UP(_UninformativeBase):
         self._xi = xi
         self._restart(eta, min_obs)
 
-    def _apply(self, chosen, fired, losses, hits, extras):
+    @property
+    def _store(self):
+        return self._state
+
+    def _estimates(self, fired, losses, extras):
         state = self._state
-        if extras is None:  # exploration round: record samples, no weight update
-            state._record(chosen - 1, self._hits(chosen, fired, hits))
-            self._explored(chosen)
-            return
-        pmf, _, eta = extras
         if state._short:  # no in-edge can be short once every edge holds M samples
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
-        values = _importance_estimates(losses, (pmf * state._divisors[fired]).sum(axis=-1))
-        state._record(chosen - 1, self._hits(chosen, fired, hits))
-        self._exp_update(eta, fired, values)
+        return _importance_estimates(losses, (extras[0] * state._divisors[fired]).sum(axis=-1))
 
     def _extra_state(self):
         extra = self._base_extra()
@@ -1113,16 +1158,13 @@ class Exp3GR(_UninformativeBase):
         self._restart(eta, min_obs)
         self._buffers.grow(min_obs)
 
-    def _apply(self, chosen, fired, losses, hits, extras):
-        if extras is None:
-            self._buffers._record(chosen - 1, self._hits(chosen, fired, hits))
-            self._explored(chosen)
-            return
-        _, cum, eta = extras
-        trials = _resample_targets(cum, self._buffers, fired, self._min_obs, self._rng)
-        values = _resampled_estimates(losses, trials, self._min_obs)
-        self._buffers._record(chosen - 1, self._hits(chosen, fired, hits))  # window stays strictly pre-round
-        self._exp_update(eta, fired, values)
+    @property
+    def _store(self):
+        return self._buffers
+
+    def _estimates(self, fired, losses, extras):
+        trials = _resample_targets(extras[1], self._buffers, fired, self._min_obs, self._rng)
+        return _resampled_estimates(losses, trials, self._min_obs)
 
     def _extra_state(self):
         extra = self._base_extra()

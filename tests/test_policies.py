@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphbandit.environment import (
+    FeedbackEvent,
     StochasticGapAdversary,
     realize_feedback,
     run_episode,
@@ -19,7 +20,6 @@ from graphbandit.policies import (
     estimated_observation_prob,
     exp3ip_pmf,
     exp3up_pmf,
-    exploration_index,
     geometric_resample,
     load_snapshot,
     make_learner,
@@ -130,22 +130,39 @@ class TestObservationProb:
         np.testing.assert_allclose(q, 1.0)
 
 
-class TestExplorationIndex:
-    def test_examples(self):
-        assert exploration_index(1, 4) == 1
-        assert exploration_index(4, 4) == 4
-        assert exploration_index(5, 4) == 1
+def forced_choices(algorithm, k, m, rounds):
+    """The first ``rounds`` choices of a learner with floor ``m`` on the
+    complete K-graph, each round fed back with nothing observed, and the
+    learner after them."""
+    g = NominalGraph.complete(k)
+    learner = make_learner(LearnerConfig(algorithm, FixedEta(0.1), min_observations=m), g)
+    picks = []
+    for t in range(1, rounds + 1):
+        picks.append(learner.select(t, g))
+        learner.update(FeedbackEvent(t, picks[-1], (), 0.5))
+    return picks, learner
 
-    def test_each_expert_exactly_m_times(self):
+
+class TestForcedExplorationOrder:
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_examples(self, algorithm):
+        picks, learner = forced_choices(algorithm, 4, 2, 5)
+        assert picks == [1, 2, 3, 4, 1]
+        assert learner.last_pmf is None
+
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_each_expert_exactly_m_times(self, algorithm):
         k, m = 5, 7
-        picks = [exploration_index(t, k, m) for t in range(1, k * m + 1)]
+        picks, _ = forced_choices(algorithm, k, m, k * m)
         assert all(picks.count(i) == m for i in range(1, k + 1))
 
-    def test_out_of_phase(self):
-        with pytest.raises(ValueError):
-            exploration_index(0, 4)
-        with pytest.raises(ValueError):
-            exploration_index(9, 4, min_observations=2)
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_no_forced_round_after_the_phase(self, algorithm):
+        k, m = 4, 2
+        _, learner = forced_choices(algorithm, k, m, k * m)
+        assert not learner._exploring()
+        learner.select(k * m + 1)
+        assert learner.last_pmf is not None  # drawn from the selection distribution
 
 
 class TestProbabilityEstimation:
@@ -414,6 +431,18 @@ class TestLearnerProtocol:
         for algorithm in ("exp3", "exp3-dom", "exp3-up", "exp3-gr"):
             with pytest.raises(ConfigError):
                 make_learner(LearnerConfig(algorithm, FixedEta(0.3)), g, probs=table)
+
+    @pytest.mark.parametrize("algorithm", ["exp3-ip", "exp3-dom"])
+    def test_activation_on_a_non_edge_rejected(self, algorithm):
+        # The 3-cycle with self-loops: 1->2, 2->3, 3->1.
+        g = NominalGraph.from_edges(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)])
+        probs = constant_table(g, 0.5) if algorithm == "exp3-ip" else None
+        learner = make_learner(LearnerConfig(algorithm, FixedEta(0.3)), g, probs=probs)
+        pick = learner.select(1, g)
+        non_edge = (pick + 1) % 3 + 1
+        with pytest.raises(ContractError, match="activation reported for a non-edge"):
+            learner.update(FeedbackEvent(1, pick, ((non_edge, 0.5),), 0.5))
+        assert learner.weights.log_weights.tolist() == [0.0, 0.0, 0.0]
 
     def test_static_graph_enforced_for_uninformative(self):
         g = NominalGraph.complete(3)
