@@ -20,7 +20,7 @@ from .errors import (
     ProtocolError,
 )
 from .estimator import Pmf, WeightVector, exp_weight_update, importance_loss_estimate, sample_index
-from .experts import Dataset, build_dataset_bundle, kernel_eval, load_csv, prediction_loss, train_expert_pool
+from .experts import Dataset, build_dataset_bundle, load_csv, prediction_loss, train_expert_pool
 from .graph import (
     EdgeProbabilityTable,
     NominalGraph,

@@ -5,6 +5,10 @@ The pool is always nine experts: five RBF kernel ridge models (bandwidths
 0.01, 0.1, 1, 10, 100), three Laplacian kernel ridge models (bandwidths
 0.01, 1, 100), and one ordinary least-squares model.  Kernel ridge solves
 (G + ridge * I) a = y on the training prefix with ridge = 1 by default.
+Kernel matrices are built in column passes over 64-row blocks: the
+Laplacian's per-feature distances are added in numpy's pairwise order, so
+every entry has the bits of the one-shot ``.sum(axis=2)`` for any number of
+features.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "KernelRidgeExpert",
     "LinearExpert",
     "DatasetBundle",
-    "kernel_eval",
     "load_csv",
     "train_expert_pool",
     "prediction_loss",
@@ -40,6 +43,11 @@ POOL_SIZE = len(RBF_BANDWIDTHS) + len(LAPLACIAN_BANDWIDTHS) + 1
 
 # Gram solves stay at desk scale; larger prefixes are subsampled evenly.
 MAX_KERNEL_TRAIN_ROWS = 500
+# Kernel matrices are built this many evaluation rows at a time, so each
+# (rows, training rows) pass stays in cache.
+_KERNEL_BLOCK_ROWS = 64
+# numpy's pairwise_sum adds up to this many terms with eight partial sums.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -85,38 +93,83 @@ class Dataset:
         return self.features[n:], self.targets[n:]
 
 
-def kernel_eval(kind: str, sigma: float, x1, x2) -> float:
-    """Kernel value between two feature vectors.
+def _abs_column(a: np.ndarray, bt: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    np.subtract(a[:, j, None], bt[j], out=out)
+    return np.abs(out, out=out)
 
-    RBF: exp(-||x1 - x2||^2 / (2 sigma^2)); Laplacian: exp(-||x1 - x2||_1 / sigma).
-    """
-    if sigma <= 0:
-        raise ValueError(f"bandwidth must be positive, got {sigma}")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise ValueError(f"dimension mismatch: {x1.shape} vs {x2.shape}")
-    if kind == "rbf":
-        return float(np.exp(-np.sum((x1 - x2) ** 2) / (2 * sigma**2)))
-    if kind == "laplacian":
-        return float(np.exp(-np.sum(np.abs(x1 - x2)) / sigma))
-    raise ValueError(f"unknown kernel kind {kind!r}")
+
+def _abs_diff_sum(a: np.ndarray, bt: np.ndarray, cols: range, out: np.ndarray) -> None:
+    """Write the sum over ``j in cols`` of ``|a[:, j, None] - bt[j]|`` into
+    ``out``, added in the order of numpy's ``pairwise_sum`` so the bits equal
+    ``np.abs(a[:, None, cols] - bt.T[None, :, cols]).sum(axis=2)``: a split at
+    half (rounded down to a multiple of 8) above 128 columns, eight
+    interleaved partial sums over the multiple-of-8 head, then the rest in
+    order."""
+    n = len(cols)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        right = np.empty_like(out)
+        _abs_diff_sum(a, bt, cols[:half], out)
+        _abs_diff_sum(a, bt, cols[half:], right)
+        out += right
+        return
+    head = n - n % 8
+    if head:
+        r = np.empty((8,) + out.shape)
+        for k in range(8):
+            _abs_column(a, bt, cols[k], r[k])
+        for i in range(8, head):
+            r[i % 8] += _abs_column(a, bt, cols[i], out)
+        for k in (0, 2, 4, 6):
+            r[k] += r[k + 1]
+        r[0] += r[2]
+        r[4] += r[6]
+        np.add(r[0], r[4], out=out)
+    elif n:
+        _abs_column(a, bt, cols[0], out)
+        head = 1
+    else:
+        out.fill(0.0)
+    column = np.empty_like(out)
+    for j in cols[head:]:
+        out += _abs_column(a, bt, j, column)
 
 
 def _kernel_matrix(kind: str, sigma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """RBF exp(-||x - y||^2 / (2 sigma^2)) or Laplacian exp(-||x - y||_1 / sigma)
+    between every row of ``a`` and every row of ``b``.
+
+    The rows of ``a`` are walked in blocks of ``_KERNEL_BLOCK_ROWS``, so every
+    elementwise pass stays in cache.  RBF takes one full ``a @ b.T`` (a
+    row-blocked product would change bits); Laplacian adds the feature
+    columns one at a time in numpy's pairwise order.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"feature count mismatch: {a.shape[1]} vs {b.shape[1]}")
     if kind == "rbf":
-        sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.exp(-np.clip(sq, 0.0, None) / (2 * sigma**2))
-    if kind == "laplacian":
+        out = a @ b.T
+        out *= 2.0
+        norms_a = np.sum(a**2, axis=1)
+        norms_b = np.sum(b**2, axis=1)
+        scale = 2 * sigma**2
+    elif kind == "laplacian":
         out = np.empty((a.shape[0], b.shape[0]))
-        step = max(1, 2**22 // max(b.shape[0] * a.shape[1], 1))  # keep the abs-diff block small
-        for start in range(0, a.shape[0], step):
-            block = a[start : start + step]
-            out[start : start + step] = np.exp(
-                -np.abs(block[:, None, :] - b[None, :, :]).sum(axis=2) / sigma
-            )
-        return out
-    raise ValueError(f"unknown kernel kind {kind!r}")
+        bt = np.ascontiguousarray(b.T)
+        scale = sigma
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    for start in range(0, a.shape[0], _KERNEL_BLOCK_ROWS):
+        stop = start + _KERNEL_BLOCK_ROWS
+        block = out[start:stop]
+        if kind == "rbf":
+            np.subtract(norms_a[start:stop, None] + norms_b, block, out=block)
+            np.clip(block, 0.0, None, out=block)
+        else:
+            _abs_diff_sum(a[start:stop], bt, range(a.shape[1]), block)
+        np.negative(block, out=block)
+        block /= scale
+        np.exp(block, out=block)
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,6 +178,12 @@ class KernelRidgeExpert:
     bandwidth: float
     train_features: np.ndarray
     coef: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("rbf", "laplacian"):
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -1,14 +1,19 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbandit.errors import IngestError
 from graphbandit.experts import (
     Dataset,
+    KernelRidgeExpert,
     LinearExpert,
+    _kernel_matrix,
     build_dataset_bundle,
-    kernel_eval,
     load_csv,
     load_pool,
     prediction_loss,
@@ -31,26 +36,73 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-class TestKernelEval:
+def one_shot_kernel_matrix(kind, sigma, a, b):
+    """The one-shot formulas the blocked kernel must reproduce bit for bit."""
+    if kind == "rbf":
+        sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T)
+        return np.exp(-np.clip(sq, 0.0, None) / (2 * sigma**2))
+    return np.exp(-np.abs(a[:, None, :] - b[None]).sum(axis=2) / sigma)
+
+
+class TestKernelMatrix:
     def test_identity_at_zero_distance(self):
-        x = np.array([0.3, 0.7])
-        assert kernel_eval("rbf", 1.0, x, x) == 1.0
-        assert kernel_eval("laplacian", 1.0, x, x) == 1.0
+        x = np.array([[0.3, 0.7]])
+        assert _kernel_matrix("rbf", 1.0, x, x)[0, 0] == 1.0
+        assert _kernel_matrix("laplacian", 1.0, x, x)[0, 0] == 1.0
 
     def test_rbf_hand_value(self):
         # squared distance 2 at unit bandwidth -> e^-1
-        assert kernel_eval("rbf", 1.0, np.array([0.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(math.exp(-1))
+        value = _kernel_matrix("rbf", 1.0, np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))[0, 0]
+        assert value == pytest.approx(math.exp(-1))
 
     def test_laplacian_hand_value(self):
-        assert kernel_eval("laplacian", 1.0, np.array([0.0]), np.array([1.0])) == pytest.approx(math.exp(-1))
+        assert _kernel_matrix("laplacian", 1.0, np.array([[0.0]]), np.array([[1.0]]))[0, 0] == pytest.approx(math.exp(-1))
 
-    def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            kernel_eval("rbf", 0.0, np.zeros(2), np.zeros(2))
+    @pytest.mark.parametrize("kind", ["rbf", "laplacian"])
+    def test_dimension_mismatch(self, kind):
+        with pytest.raises(ValueError, match="2 vs 3"):
+            _kernel_matrix(kind, 1.0, np.zeros((1, 2)), np.zeros((1, 3)))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kernel_eval("rbf", 1.0, np.zeros(2), np.zeros(3))
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["rbf", "laplacian"]),
+        sigma=st.sampled_from([0.01, 1.0, 100.0]),
+        # numpy's pairwise_sum regimes: sequential, eight partial sums, split
+        dims=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
+        rows=st.one_of(st.integers(1, 63), st.integers(65, 127), st.integers(129, 200)),
+        train_rows=st.integers(1, 40),
+        shared=st.integers(0, 3),
+    )
+    def test_bit_identical_to_one_shot_formulas(self, seed, kind, sigma, dims, rows, train_rows, shared):
+        rng = np.random.default_rng(seed)
+        a = rng.random((rows, dims))
+        b = rng.random((train_rows, dims))
+        shared = min(shared, rows, train_rows)
+        b[:shared] = a[:shared]  # zero distances exercise the RBF clip
+        assert np.array_equal(_kernel_matrix(kind, sigma, a, b), one_shot_kernel_matrix(kind, sigma, a, b))
+
+
+class TestKernelRidgeExpertChecks:
+    def expert(self, kind="rbf", bandwidth=1.0):
+        return KernelRidgeExpert(kind=kind, bandwidth=bandwidth, train_features=np.zeros((1, 2)), coef=np.ones(1))
+
+    @pytest.mark.parametrize("kind", ["rbf", "laplacian"])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_bandwidth(self, kind, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            self.expert(kind, bandwidth)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="poly"):
+            self.expert("poly")
+
+    def test_load_pool_rejects_tampered_bandwidth(self, tmp_path):
+        path = tmp_path / "pool.npz"
+        meta = [{"kind": "laplacian", "bandwidth": 0.0}]
+        np.savez(path, meta=json.dumps(meta), coef_0=np.ones(3), train_0=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="bandwidth"):
+            load_pool(path)
 
 
 class TestTraining:
@@ -105,8 +157,6 @@ class TestTraining:
     def test_gram_matrices_are_psd_with_ridge(self):
         # Cholesky of G + I must always succeed.
         rng = np.random.default_rng(11)
-        from graphbandit.experts import _kernel_matrix
-
         for kind in ("rbf", "laplacian"):
             for sigma in (0.01, 1.0, 100.0):
                 x = rng.random((40, 4))
@@ -233,3 +283,19 @@ class TestBundleAndSerialization:
         x_eval, _ = data.evaluation_rows()
         for a, b in zip(pool, restored):
             np.testing.assert_array_equal(a.predict(x_eval), b.predict(x_eval))
+
+    # SHA-256 of the loss table for seeded datasets wider than any other pin
+    # (reference.json and the golden grid use 5 features), computed when the
+    # package still built kernels with the formulas of one_shot_kernel_matrix.
+    @pytest.mark.parametrize(
+        "dims, digest",
+        [
+            (12, "a88c9e95ec90b9df7f418a70881177beab942471be97f33d3fe0277cc96d3b05"),
+            (130, "eadab08f916b3e093c777f64640d04bf13fbce1b29d1c9eb6d7786326737cb5e"),
+        ],
+    )
+    def test_wide_dataset_loss_table_digest(self, dims, digest):
+        data = synthetic_dataset(np.random.default_rng(dims), rows=300, dims=dims, split=0.2)
+        bundle = build_dataset_bundle(data, train_expert_pool(data))
+        assert bundle.loss_table.shape == (240, 9)
+        assert hashlib.sha256(bundle.loss_table.tobytes()).hexdigest() == digest
