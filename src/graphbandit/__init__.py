@@ -20,19 +20,16 @@ from .errors import (
     ProtocolError,
 )
 from .estimator import Pmf, WeightVector, exp_weight_update, importance_loss_estimate, sample_index
-from .experts import Dataset, build_dataset_bundle, load_csv, prediction_loss, train_expert_pool
+from .experts import Dataset, build_dataset_bundle, load_csv, train_expert_pool
 from .graph import (
     EdgeProbabilityTable,
     NominalGraph,
     VertexSet,
-    expected_observations,
     greedy_dominating_set,
-    in_neighbors,
     independence_number,
     load_graph_file,
-    out_neighbors,
 )
-from .harness import AggregateResult, ExperimentConfig, emit_results, run_experiment, running_mse
+from .harness import AggregateResult, ExperimentConfig, emit_results, run_experiment
 from .policies import (
     ALGORITHMS,
     Exp3,
@@ -45,12 +42,10 @@ from .policies import (
     ResampleBuffer,
     estimated_observation_prob,
     exp3ip_pmf,
-    exp3up_pmf,
     geometric_resample,
     load_snapshot,
     make_learner,
     observation_probs,
-    resampled_loss_estimate,
 )
 from .schedulers import (
     DoublingSchedule,

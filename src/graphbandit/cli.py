@@ -73,20 +73,26 @@ def _parse_prob_generator(text: str) -> tuple:
 
 
 def _parse_adversary(text: str):
-    if text.startswith("gap:"):
-        return StochasticGapAdversary(gap=float(text.split(":", 1)[1]))
-    if text.startswith("switching:"):
-        parts = text.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"switching needs gap,period, got {text!r}")
-        return SwitchingAdversary(gap=float(parts[0]), period=int(parts[1]))
-    if text.startswith("table:"):
-        return FixedTableAdversary.from_csv(text.split(":", 1)[1])
+    kind, _, body = text.partition(":")
+    parts = body.split(",")
+    if kind == "switching" and len(parts) != 2:
+        raise ConfigError(f"switching needs gap,period, got {text!r}")
+    try:
+        if kind == "gap":
+            return StochasticGapAdversary(gap=float(body))
+        if kind == "switching":
+            return SwitchingAdversary(gap=float(parts[0]), period=int(parts[1]))
+    except ValueError as exc:
+        raise ConfigError(f"bad adversary spec {text!r}: {exc}") from None
+    if kind == "table":
+        return FixedTableAdversary.from_csv(body)
     raise ConfigError(f"bad adversary spec {text!r}; expected gap:<g>, switching:<g>,<period>, or table:<csv>")
 
 
 def _resolve_graph(args, num_experts: int | None):
     """Graph plus any probabilities carried by a graph file."""
+    if num_experts is not None and num_experts < 1:
+        raise ConfigError(f"--K must be >= 1, got {num_experts}")
     if args.graph == "complete":
         if num_experts is None:
             raise ConfigError("--graph complete needs --K")

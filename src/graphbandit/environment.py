@@ -50,9 +50,6 @@ class FeedbackEvent:
     observed: tuple[tuple[int, float], ...]
     incurred_loss: float
 
-    def observed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.observed)
-
 
 @dataclass(frozen=True)
 class RunTrace:

@@ -90,19 +90,8 @@ class WeightVector:
     def uniform(cls, num_experts: int) -> "WeightVector":
         return cls(np.zeros(num_experts))
 
-    @classmethod
-    def from_weights(cls, weights) -> "WeightVector":
-        w = np.asarray(weights, dtype=float)
-        if (w <= 0).any() or not np.isfinite(w).all():
-            raise ValueError("weights must be strictly positive and finite")
-        return cls(np.log(w))
-
     def __len__(self) -> int:
         return self.log_weights.size
-
-    def normalized(self) -> np.ndarray:
-        """The induced distribution w / sum(w)."""
-        return _softmax(self.log_weights)
 
 
 def _canonical(log_weights: np.ndarray) -> np.ndarray:

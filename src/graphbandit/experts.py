@@ -14,7 +14,6 @@ features.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,10 +28,7 @@ __all__ = [
     "DatasetBundle",
     "load_csv",
     "train_expert_pool",
-    "prediction_loss",
     "build_dataset_bundle",
-    "save_pool",
-    "load_pool",
     "RBF_BANDWIDTHS",
     "LAPLACIAN_BANDWIDTHS",
 ]
@@ -211,9 +207,12 @@ def _csv_rows(path: Path) -> tuple[tuple[int, list[str]] | None, list[tuple[int,
     header split off.  The first non-blank row is the header when one of its
     cells is not a number and none is empty; a first row with an empty cell
     is a (bad) data row."""
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
     if rows:
         cells = rows[0][1]
         try:
@@ -333,14 +332,6 @@ def train_expert_pool(dataset: Dataset, ridge: float = 1.0, max_kernel_rows: int
     return pool
 
 
-def prediction_loss(model, x, y: float) -> float:
-    """Squared prediction error clipped into [0, 1] (what the learners see)."""
-    if not 0 <= y <= 1:
-        raise ValueError(f"target must be in [0, 1], got {y}")
-    err = float(model.predict(x)[0]) - y
-    return float(np.clip(err * err, 0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class DatasetBundle:
     """Everything the harness needs to run learners over a dataset: per-expert
@@ -373,39 +364,3 @@ def build_dataset_bundle(dataset: Dataset, pool) -> DatasetBundle:
         loss_table=np.clip(squared, 0.0, 1.0).T,
         expert_names=tuple(model.describe() for model in pool),
     )
-
-
-def save_pool(pool, path) -> None:
-    """Serialize a trained pool (coefficients, training features, metadata)."""
-    arrays = {}
-    meta = []
-    for idx, model in enumerate(pool):
-        if isinstance(model, KernelRidgeExpert):
-            meta.append({"kind": model.kind, "bandwidth": model.bandwidth})
-            arrays[f"coef_{idx}"] = model.coef
-            arrays[f"train_{idx}"] = model.train_features
-        elif isinstance(model, LinearExpert):
-            meta.append({"kind": "linear", "intercept": model.intercept})
-            arrays[f"coef_{idx}"] = model.coef
-        else:
-            raise ValueError(f"cannot serialize expert of type {type(model).__name__}")
-    np.savez(path, meta=json.dumps(meta), **arrays)
-
-
-def load_pool(path) -> list:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        pool = []
-        for idx, entry in enumerate(meta):
-            if entry["kind"] == "linear":
-                pool.append(LinearExpert(coef=data[f"coef_{idx}"], intercept=float(entry["intercept"])))
-            else:
-                pool.append(
-                    KernelRidgeExpert(
-                        kind=entry["kind"],
-                        bandwidth=float(entry["bandwidth"]),
-                        train_features=data[f"train_{idx}"],
-                        coef=data[f"coef_{idx}"],
-                    )
-                )
-    return pool

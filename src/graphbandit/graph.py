@@ -19,11 +19,8 @@ __all__ = [
     "NominalGraph",
     "EdgeProbabilityTable",
     "VertexSet",
-    "out_neighbors",
-    "in_neighbors",
     "greedy_dominating_set",
     "independence_number",
-    "expected_observations",
     "load_graph_file",
 ]
 
@@ -167,24 +164,6 @@ class EdgeProbabilityTable:
         return cls.from_probs(graph, probs, epsilon=low)
 
 
-def _check_index(graph: NominalGraph, i: int) -> int:
-    if not 1 <= i <= graph.num_experts:
-        raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    return int(i) - 1
-
-
-def out_neighbors(graph: NominalGraph, i: int) -> VertexSet:
-    """Experts whose losses may be revealed when ``i`` is chosen (includes i)."""
-    row = graph.adjacency[_check_index(graph, i)]
-    return VertexSet(tuple(int(j + 1) for j in np.flatnonzero(row)))
-
-
-def in_neighbors(graph: NominalGraph, i: int) -> VertexSet:
-    """Experts whose choice may reveal ``i``'s loss (includes i)."""
-    col = graph.adjacency[:, _check_index(graph, i)]
-    return VertexSet(tuple(int(j + 1) for j in np.flatnonzero(col)))
-
-
 def greedy_dominating_set(graph: NominalGraph) -> VertexSet:
     """Greedy set cover over out-neighborhoods.
 
@@ -241,13 +220,6 @@ def _mis_size(mask: int, nbr: list[int]) -> int:
     return max(without, with_v)
 
 
-def expected_observations(graph: NominalGraph, probs: EdgeProbabilityTable, i: int) -> float:
-    """Expected number of losses revealed when ``i`` is chosen: the sum of
-    edge probabilities over i's out-neighborhood.  Strictly positive."""
-    row = _check_index(graph, i)
-    return float(probs.probs[row][graph.adjacency[row]].sum())
-
-
 def load_graph_file(path) -> tuple[NominalGraph, np.ndarray | None]:
     """Parse the graph literal format.
 
@@ -261,8 +233,12 @@ def load_graph_file(path) -> tuple[NominalGraph, np.ndarray | None]:
     carries no probabilities.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
     lines = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if text:
             lines.append((lineno, text))

@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "AggregateResult",
     "run_experiment",
-    "running_mse",
     "emit_results",
     "checkpoint_rounds",
 ]
@@ -243,20 +242,6 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateResult:
         loss_digests={a: tuple(d) for a, d in digests.items()},
         p_tables=tuple(t.probs for t in p_tables),
     )
-
-
-def running_mse(predictions, truths, t: int) -> float:
-    """Average over runs of the mean squared prediction error up to round t."""
-    predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
-    truths = np.asarray(truths, dtype=float)
-    if predictions.shape[1] != truths.shape[0]:
-        raise ValueError(
-            f"predictions cover {predictions.shape[1]} rounds, truths cover {truths.shape[0]}"
-        )
-    if not 1 <= t <= truths.shape[0]:
-        raise ValueError(f"round {t} outside 1..{truths.shape[0]}")
-    sq = (predictions[:, :t] - truths[None, :t]) ** 2
-    return float(np.mean(sq.sum(axis=1) / t))
 
 
 def emit_results(result: AggregateResult, out_dir) -> None:

@@ -55,11 +55,9 @@ __all__ = [
     "ProbabilityEstimatorState",
     "ResampleBuffer",
     "exp3ip_pmf",
-    "exp3up_pmf",
     "observation_probs",
     "estimated_observation_prob",
     "geometric_resample",
-    "resampled_loss_estimate",
     "Exp3IP",
     "Exp3Dom",
     "Exp3",
@@ -166,19 +164,10 @@ def _informed_mix(log_weights: np.ndarray, eta: float, table: _GraphTable) -> np
     return out
 
 
-def exp3up_pmf(weights: WeightVector, eta: float, dominating: VertexSet) -> Pmf:
-    """Selection distribution for the uninformative setting: exploration mass
-    is spread uniformly over the dominating set."""
-    if len(dominating) == 0:
-        raise ValueError("dominating set must be non-empty")
-    dom = _positions(dominating)
-    if dom.max() >= len(weights):
-        raise ValueError("dominating set references an expert outside the weight vector")
-    return Pmf(_uniform_mix(weights.log_weights, eta, dom))
-
-
 def _uniform_mix(log_weights: np.ndarray, eta: float, dom: np.ndarray) -> np.ndarray:
-    """The uninformed selection vector before ``Pmf``'s check-and-normalize."""
+    """Selection vector for the uninformative setting, before ``Pmf``'s
+    check-and-normalize: exploration mass is spread uniformly over the
+    0-based dominating-set positions ``dom``."""
     eta = _check_eta(eta)
     out = (1.0 - eta) * _softmax(log_weights)
     out[dom] += eta / dom.size
@@ -231,10 +220,6 @@ class ProbabilityEstimatorState:
         self.counts = np.zeros((k, k), dtype=np.int64)
         self.sums = np.zeros((k, k), dtype=np.int64)
         self._track(0, 0.0)
-
-    @property
-    def graph(self) -> NominalGraph:
-        return self._graph
 
     @property
     def estimates(self) -> np.ndarray:
@@ -295,26 +280,9 @@ def estimated_observation_prob(
         raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
     if min_observations < 1:
         raise ValueError("min_observations must be >= 1")
-    targets = np.array([i - 1])
-    return float(_inflated_observation_probs(pmf.probs, graph, state, confidence_width, min_observations, targets)[0])
-
-
-def _inflated_observation_probs(
-    probs: np.ndarray,
-    graph: NominalGraph,
-    state: ProbabilityEstimatorState,
-    confidence_width: float,
-    min_observations: int,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """estimated_observation_prob for every 0-based expert in ``targets`` at
-    once, under the selection vector ``probs``, from divisors rebuilt from
-    ``state``'s counts: one contiguous length-K row per target, summed along
-    the row."""
-    _check_in_edges(graph, state.counts, min_observations, targets)
-    inflation = confidence_width / math.sqrt(min_observations)
-    divisors = _inflated_divisors(graph.adjacency, state.estimates, inflation)
-    return (probs * divisors[targets]).sum(axis=-1)
+    _check_in_edges(graph, state.counts, min_observations, np.array([i - 1]))
+    divisors = _inflated_divisors(graph.adjacency, state.estimates, confidence_width / math.sqrt(min_observations))
+    return float((pmf.probs * divisors[i - 1]).sum())
 
 
 def _check_in_edges(graph: NominalGraph, counts: np.ndarray, min_observations: int, targets: np.ndarray) -> None:
@@ -454,9 +422,6 @@ class ResampleBuffer:
         self._capacity = int(new_capacity)
         self._count_short()
 
-    def is_full(self) -> bool:
-        return self._short == 0
-
     def resample_layout(self, targets0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of one resampling block for the 0-based ``targets0``: each
         target takes a draw row, then one row per in-edge, sources ascending.
@@ -516,7 +481,9 @@ class ResampleBuffer:
         edge_of = {key: e for e, key in enumerate(buffers._edge_keys())}
         for key, values in samples.items():
             e = edge_of[key]
-            values = values[-buffers._capacity :]
+            values = np.asarray(values[-buffers._capacity :])
+            if not ((values == 0) | (values == 1)).all():
+                raise ValueError(f"snapshot field 'buffers' holds a sample other than 0 or 1 on edge {key}")
             buffers._widen(len(values))
             buffers._ring[e, : len(values)] = values
             buffers._written[e] = len(values)
@@ -610,13 +577,6 @@ def geometric_resample(
     return int(_resample_targets(pmf.probs.cumsum(), buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
-def resampled_loss_estimate(loss: float, trials: int, observed: bool, cap: int | None = None) -> float:
-    """trials * loss when observed, 0 otherwise; under-estimates the loss."""
-    if not observed:
-        return 0.0
-    return float(_resampled_estimates(np.array([loss]), np.array([trials]), cap)[0])
-
-
 def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None) -> np.ndarray:
     """trials * losses for a round's observed losses.  Checked in order,
     loss before trial count: the first loss outside [0, 1] or count outside
@@ -661,10 +621,6 @@ class _LearnerBase:
         self._mixed: np.ndarray | None = None  # the last pmf-driven round's vector, before normalizing
         self._rng: np.random.Generator
         self.reseed(seed)
-
-    @property
-    def num_experts(self) -> int:
-        return self._k
 
     @property
     def rounds_played(self) -> int:
@@ -805,6 +761,17 @@ class _LearnerBase:
 
     def _restore_extra(self, extra: dict) -> None:
         pass
+
+
+def _snapshot_array(fields: dict, name: str, shape: tuple, dtype=np.int64) -> np.ndarray:
+    """The snapshot field ``name`` as an array; raises naming it unless its shape is ``shape``."""
+    try:
+        values = np.array(fields[name], dtype=dtype)
+    except ValueError as exc:  # a ragged list
+        raise ValueError(f"snapshot field {name!r}: {exc}") from None
+    if values.shape != shape:
+        raise ValueError(f"snapshot field {name!r} has shape {values.shape}, expected {shape}")
+    return values
 
 
 def _encode_rng_state(rng: np.random.Generator):
@@ -1062,7 +1029,7 @@ class _UninformativeBase(_LearnerBase):
         }
 
     def _restore_base_extra(self, extra: dict) -> None:
-        self._explore_counts = np.array(extra["explore_counts"], dtype=np.int64)
+        self._explore_counts = _snapshot_array(extra, "explore_counts", (self._k,))
         self._explore_cursor = int(extra["explore_cursor"])
         self._epoch = extra["epoch"] if extra["epoch"] is None else int(extra["epoch"])
         self._eta_value = extra["eta_value"]
@@ -1125,8 +1092,10 @@ class Exp3UP(_UninformativeBase):
         return extra
 
     def _restore_extra(self, extra):
-        self._state.counts = np.array(extra["counts"], dtype=np.int64)
-        self._state.sums = np.array(extra["sums"], dtype=np.int64)
+        counts, sums = (_snapshot_array(extra, name, (self._k, self._k)) for name in ("counts", "sums"))
+        if not ((sums >= 0) & (sums <= counts)).all():
+            raise ValueError("snapshot field 'sums' must lie in [0, counts] on every edge")
+        self._state.counts, self._state.sums = counts, sums
         self._xi = float(extra["confidence_width"])
         self._restore_base_extra(extra)  # sets the floor, which rebuilds the divisors
 
@@ -1197,7 +1166,8 @@ def make_learner(config: LearnerConfig, graph: NominalGraph, probs=None, seed=0)
 
 
 def load_snapshot(text: str, graph: NominalGraph, probs=None):
-    """Rebuild a learner from ``snapshot()`` output plus its (static) graph."""
+    """Rebuild a learner from ``snapshot()`` output plus its (static) graph.
+    A field that does not fit the graph raises ValueError naming it."""
     payload = json.loads(text)
     if payload.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {payload.get('version')}")
@@ -1211,7 +1181,7 @@ def load_snapshot(text: str, graph: NominalGraph, probs=None):
     )
     learner = make_learner(config, graph, probs=probs, seed=0)
     learner._round = int(payload["round"])
-    learner._log_weights = WeightVector(np.array(payload["log_weights"], dtype=float)).log_weights
+    learner._log_weights = WeightVector(_snapshot_array(payload, "log_weights", (learner._k,), float)).log_weights
     learner._rng = _decode_rng_state(payload["rng"])
     learner._restore_extra(payload["extra"])
     return learner

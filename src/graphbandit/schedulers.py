@@ -102,20 +102,20 @@ class DoublingState:
     accumulated: float = 0.0
 
 
-def ip_doubling_step(state: DoublingState, pmf, q, ln_k: float) -> tuple[DoublingState, bool, float]:
+def ip_doubling_step(state: DoublingState, probs: np.ndarray, q, ln_k: float) -> tuple[DoublingState, bool, float]:
     """Advance the informed learner's doubling state by one round.
 
-    The round's load is 1 + 0.5 * sum_i pi_i / q_i.  While the accumulated
-    load stays within 2^epoch the rate is unchanged; on overflow the epoch
-    jumps to the smallest value that restores the bound and the caller must
-    reset its weights.  Returns (new state, restart?, eta) with
-    eta = sqrt(ln_k / 2^(epoch + 1)).  ``pmf`` is a ``Pmf`` or its
-    probability vector.
+    The round's load is 1 + 0.5 * sum_i pi_i / q_i for the selection
+    probabilities ``probs``.  While the accumulated load stays within
+    2^epoch the rate is unchanged; on overflow the epoch jumps to the
+    smallest value that restores the bound and the caller must reset its
+    weights.  Returns (new state, restart?, eta) with
+    eta = sqrt(ln_k / 2^(epoch + 1)).
     """
     q = np.asarray(q, dtype=float)
     if (q <= 0).any():
         raise ValueError("observation probabilities must be positive")
-    load = 1.0 + 0.5 * float((getattr(pmf, "probs", pmf) / q).sum())
+    load = 1.0 + 0.5 * float((probs / q).sum())
     accumulated = state.accumulated + load
     epoch = state.epoch
     restart = False

@@ -22,8 +22,10 @@ from graphbandit.policies import (
     LearnerConfig,
     ProbabilityEstimatorState,
     ResampleBuffer,
-    _inflated_observation_probs,
+    _check_in_edges,
+    _inflated_divisors,
     _resample_targets,
+    estimated_observation_prob,
     geometric_resample,
     load_snapshot,
     make_learner,
@@ -121,10 +123,15 @@ def test_batched_inflated_probabilities_are_bit_equal(seed, k, m):
     xi = float(rng.uniform(1.0, 3.0))
     targets = random_targets(rng, k)
 
-    batched = _inflated_observation_probs(pmf.probs, graph, state, xi, m, targets)
+    # The learner's path: check the targets' in-edges, then one divisor row per target.
+    _check_in_edges(graph, state.counts, m, targets)
+    divisors = _inflated_divisors(graph.adjacency, state.estimates, xi / math.sqrt(m))
+    batched = (pmf.probs * divisors[targets]).sum(axis=-1)
     sequential = np.array([reference_q_hat(pmf.probs, graph.adjacency, state, xi, m, int(t)) for t in targets])
+    single = np.array([estimated_observation_prob(pmf, graph, state, xi, m, int(t) + 1) for t in targets])
 
     np.testing.assert_array_equal(batched.view(np.uint64), sequential.view(np.uint64))
+    np.testing.assert_array_equal(single.view(np.uint64), sequential.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ class TestResampleRing:
         for bit in [1, 0, 0, 1]:
             buffers.observe_row(1, np.array([bool(bit)]))
         buffers.grow(5)
-        assert not buffers.is_full()
+        assert buffers._short == 1  # the one ring holds 3 of 5 samples
         buffers.observe_row(1, np.array([True]))
         assert buffers.samples() == {"1,1": [0, 0, 1, 1]}
         np.testing.assert_array_equal(buffers.edge_matrix(np.array([0]), 4), [[0, 0, 1, 1]])

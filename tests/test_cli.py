@@ -95,6 +95,34 @@ class TestSimulate:
         assert code == 0
 
 
+SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (SIMULATE + ["--K", "2", "--adversary", "gap:abc"], "bad adversary spec 'gap:abc'"),
+        (SIMULATE + ["--K", "2", "--adversary", "gap:0"], "need 0 < gap <= base"),
+        (SIMULATE + ["--K", "2", "--adversary", "switching:0.1,0"], "period must be >= 1"),
+        (SIMULATE + ["--K", "2", "--adversary", "switching:0.1,x"], "bad adversary spec 'switching:0.1,x'"),
+        (SIMULATE + ["--K", "0"], "--K must be >= 1, got 0"),
+        (SIMULATE + ["--graph", "{missing}"], "{missing}: cannot read: No such file or directory"),
+        (SIMULATE + ["--K", "2", "--adversary", "table:{missing}"], "{missing}: cannot read: No such file or directory"),
+        (["dataset", "--algo", "exp3", "--data", "{missing}", "--target", "y"],
+         "{missing}: cannot read: No such file or directory"),
+    ],
+    ids=["gap-nonnumeric", "gap-zero", "switching-period-zero", "switching-period-nonnumeric", "k-zero",
+         "missing-graph-file", "missing-table-csv", "missing-data-csv"],
+)
+def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, args, reason):
+    missing = str(tmp_path / "missing.txt")
+    code = run_cli([arg.replace("{missing}", missing) for arg in args])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert reason.replace("{missing}", missing) in lines[0]
+
+
 class TestDataset:
     def test_pipeline_end_to_end(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

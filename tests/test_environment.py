@@ -12,7 +12,7 @@ from graphbandit.environment import (
 )
 from graphbandit.errors import ContractError, IngestError
 from graphbandit.estimator import Pmf, sample_index
-from graphbandit.graph import EdgeProbabilityTable, NominalGraph, out_neighbors
+from graphbandit.graph import EdgeProbabilityTable, NominalGraph
 
 
 class StubLearner:
@@ -54,7 +54,7 @@ class TestRealizeFeedback:
         p = EdgeProbabilityTable.from_probs(g, np.array([[1.0, eps], [0.0, 1.0]]), epsilon=eps)
         rng = np.random.default_rng(7)
         n = 100_000
-        hits = sum(2 in ev.observed_indices() for ev in (realize_feedback(g, p, 1, np.array([0.5, 0.5]), rng) for _ in range(n)))
+        hits = sum(2 in dict(ev.observed) for ev in (realize_feedback(g, p, 1, np.array([0.5, 0.5]), rng) for _ in range(n)))
         sigma = np.sqrt(eps * (1 - eps) / n)
         assert abs(hits / n - eps) <= 4 * sigma
 
@@ -64,7 +64,7 @@ class TestRealizeFeedback:
         rng = np.random.default_rng(11)
         n = 100_000
         losses = np.array([0.3, 0.6, 0.9])
-        hits = sum(1 in ev.observed_indices() for ev in (realize_feedback(g, p, 1, losses, rng) for _ in range(n)))
+        hits = sum(1 in dict(ev.observed) for ev in (realize_feedback(g, p, 1, losses, rng) for _ in range(n)))
         sigma = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) <= 4 * sigma
 
@@ -78,7 +78,7 @@ class TestRealizeFeedback:
             p = EdgeProbabilityTable.uniform(g, 0.2, 0.9, rng)
             chosen = int(rng.integers(1, k + 1))
             event = realize_feedback(g, p, chosen, rng.random(k), rng)
-            assert set(event.observed_indices()) <= set(out_neighbors(g, chosen))
+            assert set(dict(event.observed)) <= set(g.out_positions[chosen - 1] + 1)
 
     def test_loss_out_of_range_rejected(self):
         g = NominalGraph.bandit(2)
@@ -188,7 +188,7 @@ class TestRunEpisode:
         learner = StubLearner(pmf=pmf)
         trace = run_episode(learner, StochasticGapAdversary(gap=0.1), g, p, 50_000, seed=31)
         seen = np.fromiter(
-            (ev.chosen in ev.observed_indices() for ev in learner.events), dtype=bool
+            (ev.chosen in dict(ev.observed) for ev in learner.events), dtype=bool
         )
         expected = float(pmf.probs @ np.diag(diag))
         sigma = np.sqrt(expected * (1 - expected) / seen.size)

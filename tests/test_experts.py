@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -15,9 +14,6 @@ from graphbandit.experts import (
     _kernel_matrix,
     build_dataset_bundle,
     load_csv,
-    load_pool,
-    prediction_loss,
-    save_pool,
     train_expert_pool,
 )
 
@@ -97,13 +93,6 @@ class TestKernelRidgeExpertChecks:
         with pytest.raises(ValueError, match="poly"):
             self.expert("poly")
 
-    def test_load_pool_rejects_tampered_bandwidth(self, tmp_path):
-        path = tmp_path / "pool.npz"
-        meta = [{"kind": "laplacian", "bandwidth": 0.0}]
-        np.savez(path, meta=json.dumps(meta), coef_0=np.ones(3), train_0=np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="bandwidth"):
-            load_pool(path)
-
 
 class TestTraining:
     def test_single_training_point_ridge_solution(self):
@@ -165,18 +154,32 @@ class TestTraining:
                 np.linalg.cholesky(gram + np.eye(40))
 
 
+def prediction_loss(model, x, y: float) -> float:
+    """Per-row reference for the bundle's loss table: the squared prediction
+    error clipped into [0, 1] (what the learners see)."""
+    err = float(model.predict(x)[0]) - y
+    return float(np.clip(err * err, 0.0, 1.0))
+
+
 class TestPredictionLoss:
+    """The bundle's loss entries for constant predictors against targets of 0.5."""
+
+    @staticmethod
+    def loss_of(intercept):
+        data = Dataset(features=np.full((20, 1), 0.3), targets=np.full(20, 0.5))
+        bundle = build_dataset_bundle(data, [LinearExpert(coef=np.array([0.0]), intercept=intercept)])
+        assert bundle.loss_table.shape == (18, 1)
+        assert (bundle.loss_table == bundle.loss_table[0, 0]).all()
+        return bundle.loss_table[0, 0]
+
     def test_perfect_prediction(self):
-        model = LinearExpert(coef=np.array([0.0]), intercept=0.5)
-        assert prediction_loss(model, np.array([0.3]), 0.5) == 0.0
+        assert self.loss_of(0.5) == 0.0
 
     def test_hand_square(self):
-        model = LinearExpert(coef=np.array([0.0]), intercept=0.2)
-        assert prediction_loss(model, np.array([0.3]), 0.5) == pytest.approx(0.09)
+        assert self.loss_of(0.2) == pytest.approx(0.09)
 
     def test_clipped_at_one(self):
-        model = LinearExpert(coef=np.array([0.0]), intercept=5.0)
-        assert prediction_loss(model, np.array([0.3]), 0.5) == 1.0
+        assert self.loss_of(5.0) == 1.0
 
 
 class TestLoadCsv:
@@ -253,7 +256,7 @@ class TestLoadCsv:
             load_csv(tmp_path / "d.csv", "b")
 
 
-class TestBundleAndSerialization:
+class TestBundle:
     def test_all_losses_within_unit_interval(self):
         rng = np.random.default_rng(13)
         data = synthetic_dataset(rng, rows=400)
@@ -272,17 +275,6 @@ class TestBundleAndSerialization:
                 assert bundle.loss_table[t, k] == pytest.approx(
                     prediction_loss(model, x_eval[t], y_eval[t]), abs=1e-12
                 )
-
-    def test_pool_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        data = synthetic_dataset(rng, rows=150)
-        pool = train_expert_pool(data)
-        path = tmp_path / "pool.npz"
-        save_pool(pool, path)
-        restored = load_pool(path)
-        x_eval, _ = data.evaluation_rows()
-        for a, b in zip(pool, restored):
-            np.testing.assert_array_equal(a.predict(x_eval), b.predict(x_eval))
 
     # SHA-256 of the loss table for seeded datasets wider than any other pin
     # (reference.json and the golden grid use 5 features), computed when the

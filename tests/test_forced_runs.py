@@ -193,7 +193,7 @@ def assert_same_store(store, reference) -> None:
     if isinstance(store, ProbabilityEstimatorState):
         assert np.array_equal(store.counts, reference.counts) and np.array_equal(store.sums, reference.sums)
         assert bits(store._divisors) == bits(reference._divisors)
-        adjacency = store.graph.adjacency
+        adjacency = store._graph.adjacency
         assert store._short == reference._short == np.count_nonzero((store.counts < store._floor) & adjacency)
     else:
         assert np.array_equal(store._ring, reference._ring)  # width included

@@ -3,18 +3,18 @@ import csv
 import numpy as np
 import pytest
 
-from graphbandit.environment import StochasticGapAdversary
+from graphbandit.environment import FixedTableAdversary, StochasticGapAdversary, run_episode
 from graphbandit.errors import ConfigError
-from graphbandit.experts import build_dataset_bundle, train_expert_pool
-from graphbandit.graph import NominalGraph
+from graphbandit.experts import DatasetBundle, build_dataset_bundle, train_expert_pool
+from graphbandit.graph import EdgeProbabilityTable, NominalGraph
 from graphbandit.harness import (
     AggregateResult,
     ExperimentConfig,
     checkpoint_rounds,
     emit_results,
     run_experiment,
-    running_mse,
 )
+from graphbandit.policies import LearnerConfig, make_learner
 from graphbandit.schedulers import InverseSqrtEta
 
 
@@ -33,25 +33,43 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def dataset_result(predictions, truths, runs=1):
+    """run_experiment's dataset-mode result for exp3 over fixed predictions."""
+    predictions = np.asarray(predictions, dtype=float)
+    loss_table = np.clip((predictions - truths) ** 2, 0.0, 1.0).T
+    bundle = DatasetBundle(predictions, np.asarray(truths, dtype=float), loss_table, ("e",) * len(predictions))
+    graph = NominalGraph.complete(len(predictions))
+    cfg = ExperimentConfig(("exp3",), graph, ("equal", 0.5), bundle=bundle, runs=runs, seed=3)
+    return run_experiment(cfg)
+
+
 class TestRunningMse:
+    """Dataset mode reports, at each checkpoint t, the mean over rounds 1..t
+    of the chosen expert's squared prediction error, one row per run."""
+
     def test_perfect_predictions(self):
         truths = np.array([0.2, 0.4, 0.6])
-        assert running_mse(np.tile(truths, (5, 1)), truths, 3) == 0.0
+        result = dataset_result(np.tile(truths, (2, 1)), truths, runs=5)
+        assert result.metric == "mse"
+        assert (result.per_run["exp3"] == 0.0).all()
 
     def test_constant_error(self):
-        truths = np.zeros(10)
-        preds = np.full((1, 10), 0.1)
-        for t in (1, 5, 10):
-            assert running_mse(preds, truths, t) == pytest.approx(0.01)
+        result = dataset_result(np.full((2, 10), 0.1), np.zeros(10))
+        np.testing.assert_array_equal(result.checkpoints, np.arange(1, 11))
+        np.testing.assert_allclose(result.per_run["exp3"][0], 0.01, rtol=1e-12)
 
-    def test_two_run_average(self):
-        truths = np.array([0.5])
-        preds = np.array([[0.7], [0.9]])  # squared errors 0.04 and 0.16
-        assert running_mse(preds, truths, 1) == pytest.approx(0.10)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            running_mse(np.zeros((2, 5)), np.zeros(4), 3)
+    def test_running_mean_of_the_chosen_expert_per_run(self):
+        rng = np.random.default_rng(19)
+        predictions, truths = rng.random((3, 30)), rng.random(30)
+        result = dataset_result(predictions, truths, runs=2)
+        graph = NominalGraph.complete(3)
+        adversary = FixedTableAdversary(np.clip((predictions - truths) ** 2, 0.0, 1.0).T)
+        for run in range(2):
+            learner = make_learner(LearnerConfig("exp3"), graph)
+            trace = run_episode(learner, adversary, graph, EdgeProbabilityTable.constant(graph, 0.5), 30, (3, run))
+            squared = (predictions[trace.chosen - 1, np.arange(30)] - truths) ** 2
+            np.testing.assert_allclose(result.per_run["exp3"][run], np.cumsum(squared) / np.arange(1, 31), rtol=1e-12)
+        np.testing.assert_array_equal(result.mean("exp3"), result.per_run["exp3"].mean(axis=0))
 
 
 class TestConfigValidation:

@@ -44,7 +44,6 @@ def assert_statistics_recounted(learner) -> None:
     else:
         buffers = learner.buffers
         assert buffers._short == np.count_nonzero(buffers._written < buffers.capacity)
-        assert buffers.is_full() == bool((buffers._written >= buffers.capacity).all())
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,21 +11,21 @@ from graphbandit.environment import (
     run_episode,
 )
 from graphbandit.errors import ConfigError, ContractError, PhaseOrderError, ProtocolError
-from graphbandit.estimator import Pmf, WeightVector, sample_index
+from graphbandit.estimator import Pmf, WeightVector, _normalized, sample_index
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
 from graphbandit.oracles import resampling_checks
 from graphbandit.policies import (
     LearnerConfig,
     ProbabilityEstimatorState,
     ResampleBuffer,
+    _resampled_estimates,
+    _uniform_mix,
     estimated_observation_prob,
     exp3ip_pmf,
-    exp3up_pmf,
     geometric_resample,
     load_snapshot,
     make_learner,
     observation_probs,
-    resampled_loss_estimate,
 )
 from graphbandit.schedulers import DoublingSchedule, FixedEta, InverseSqrtEta
 
@@ -33,6 +34,11 @@ CHI2_99_9_DOF2 = 13.815510557964274
 
 def constant_table(graph, value):
     return EdgeProbabilityTable.constant(graph, value)
+
+
+def uniform_mix_pmf(log_weights, eta, dominating):
+    """The uninformative learners' selection pmf for 1-based dominating-set members."""
+    return _normalized(_uniform_mix(np.asarray(log_weights, dtype=float), eta, np.array(dominating) - 1))
 
 
 class TestSelectionPmfs:
@@ -52,22 +58,16 @@ class TestSelectionPmfs:
         np.testing.assert_allclose(pmf.probs, [0.75, 0.25])
 
     def test_uniform_mix_pmf_pure_exploitation(self):
-        w = WeightVector.from_weights([3.0, 1.0])
-        pmf = exp3up_pmf(w, 0.0, VertexSet((1, 2)))
-        np.testing.assert_allclose(pmf.probs, [0.75, 0.25])
+        pmf = uniform_mix_pmf(np.log([3.0, 1.0]), 0.0, (1, 2))
+        np.testing.assert_allclose(pmf, [0.75, 0.25])
 
     def test_uniform_mix_pmf_pure_exploration(self):
-        pmf = exp3up_pmf(WeightVector.uniform(3), 1.0, VertexSet((2,)))
-        np.testing.assert_array_equal(pmf.probs, [0.0, 1.0, 0.0])
+        pmf = uniform_mix_pmf(np.zeros(3), 1.0, (2,))
+        np.testing.assert_array_equal(pmf, [0.0, 1.0, 0.0])
 
     def test_uniform_mix_pmf_hand_value(self):
-        w = WeightVector.from_weights([3.0, 1.0])
-        pmf = exp3up_pmf(w, 0.5, VertexSet((1, 2)))
-        np.testing.assert_allclose(pmf.probs, [0.625, 0.375])
-
-    def test_empty_dominating_set_rejected(self):
-        with pytest.raises(ValueError):
-            exp3up_pmf(WeightVector.uniform(2), 0.5, VertexSet(()))
+        pmf = uniform_mix_pmf(np.log([3.0, 1.0]), 0.5, (1, 2))
+        np.testing.assert_allclose(pmf, [0.625, 0.375])
 
     def test_emitted_pmfs_always_valid(self):
         # 1e4 random states per pmf constructor: entries >= 0, sum == 1.
@@ -81,9 +81,9 @@ class TestSelectionPmfs:
             w = WeightVector(rng.normal(scale=5.0, size=k))
             eta = float(rng.uniform(0, 1))
             dom = greedy_dominating_set(g)
-            for pmf in (exp3ip_pmf(w, eta, g, p, dom), exp3up_pmf(w, eta, dom)):
-                assert (pmf.probs >= 0).all()
-                assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-9)
+            for probs in (exp3ip_pmf(w, eta, g, p, dom).probs, uniform_mix_pmf(w.log_weights, eta, dom.members)):
+                assert (probs >= 0).all()
+                assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_weight_scaling_leaves_pmf_bits_unchanged(self):
         # Log shifts on a dyadic grid are float-exact, so the canonical
@@ -105,9 +105,9 @@ class TestSelectionPmfs:
         for _ in range(200):
             w = rng.uniform(0.1, 5.0, size=5)
             scale = float(rng.uniform(1e-6, 1e6))
-            a = exp3up_pmf(WeightVector.from_weights(w), 0.2, VertexSet((1, 2, 3, 4, 5)))
-            b = exp3up_pmf(WeightVector.from_weights(scale * w), 0.2, VertexSet((1, 2, 3, 4, 5)))
-            np.testing.assert_allclose(a.probs, b.probs, rtol=1e-12)
+            a = uniform_mix_pmf(WeightVector(np.log(w)).log_weights, 0.2, (1, 2, 3, 4, 5))
+            b = uniform_mix_pmf(WeightVector(np.log(scale * w)).log_weights, 0.2, (1, 2, 3, 4, 5))
+            np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 class TestObservationProb:
@@ -346,13 +346,13 @@ class TestGeometricResample:
         assert trial_check.passed(4.0), trial_check.describe()
 
     def test_resampled_loss_estimate(self):
-        assert resampled_loss_estimate(0.5, 3, True) == pytest.approx(1.5)
-        assert resampled_loss_estimate(0.9, 7, False) == 0.0
-        assert resampled_loss_estimate(1.0, 1, True) == pytest.approx(1.0)
+        # The learners estimate only the observed losses: trials * loss each.
+        estimates = _resampled_estimates(np.array([0.5, 1.0]), np.array([3, 1]), None)
+        np.testing.assert_allclose(estimates, [1.5, 1.0])
         with pytest.raises(ContractError):
-            resampled_loss_estimate(0.5, 0, True)
+            _resampled_estimates(np.array([0.5]), np.array([0]), None)
         with pytest.raises(ContractError):
-            resampled_loss_estimate(0.5, 6, True, cap=5)
+            _resampled_estimates(np.array([0.5]), np.array([6]), 5)
 
     def test_resampled_mean_matches_capped_hit_rate(self):
         # One module-scale check of E[l_tilde] = (1 - (1-q)^M) * l.
@@ -535,8 +535,9 @@ class TestReductionToClassicExp3:
         # uninformative pmf reduces to (1-eta) w/W + eta/K.
         w = WeightVector(np.array([0.3, -0.9, 0.0]))
         dom = greedy_dominating_set(NominalGraph.bandit(3))
-        pmf = exp3up_pmf(w, 0.25, dom)
-        np.testing.assert_allclose(pmf.probs, 0.75 * w.normalized() + 0.25 / 3, rtol=1e-15)
+        pmf = uniform_mix_pmf(w.log_weights, 0.25, dom.members)
+        linear = np.exp(w.log_weights)
+        np.testing.assert_allclose(pmf, 0.75 * linear / linear.sum() + 0.25 / 3, rtol=1e-15)
 
 
 class TestDoublingIntegration:
@@ -572,7 +573,8 @@ class TestDoublingIntegration:
         assert learner.min_observations == 170
         assert learner.buffers.capacity == learner.min_observations
         assert not learner._exploring()
-        assert learner.buffers.is_full()
+        assert learner.buffers._short == 0  # every ring holds the epoch's M samples
+        assert (learner.buffers._written >= learner.buffers.capacity).all()
         assert learner.last_pmf is not None
 
     def test_resampling_doubling_requires_epsilon(self):
@@ -667,3 +669,57 @@ class TestSnapshots:
         assert restored.rounds_played == 5
         with pytest.raises(ProtocolError):
             restored.select(1, g)
+
+
+def snapshot_payload(algorithm, k=4, rounds=40):
+    g = NominalGraph.complete(k)
+    probs = constant_table(g, 0.5)
+    config = LearnerConfig(algorithm, InverseSqrtEta(), min_observations=3)
+    learner = make_learner(config, g, probs=probs if algorithm == "exp3-ip" else None, seed=5)
+    drive(learner, g, probs, np.linspace(0.1, 0.9, k), rounds)
+    return json.loads(learner.snapshot())
+
+
+def set_first_sample(extra, value):
+    extra["buffers"]["1,1"][0] = value
+
+
+def set_sums(extra, value):
+    extra["sums"][0][0] = value
+
+
+class TestSnapshotValidation:
+    """load_snapshot rejects a snapshot that does not fit the graph, naming the field."""
+
+    @pytest.mark.parametrize("algorithm", ["exp3", "exp3-ip", "exp3-up", "exp3-gr"])
+    def test_snapshot_from_a_smaller_graph_rejected(self, algorithm):
+        text = json.dumps(snapshot_payload(algorithm))
+        g = NominalGraph.complete(5)
+        with pytest.raises(ValueError, match="'log_weights' has shape \\(4,\\), expected \\(5,\\)"):
+            load_snapshot(text, g, probs=constant_table(g, 0.5) if algorithm == "exp3-ip" else None)
+
+    @pytest.mark.parametrize(
+        "algorithm, tamper, field",
+        [
+            ("exp3-up", lambda extra: extra["explore_counts"].pop(), "explore_counts"),
+            ("exp3-gr", lambda extra: extra["explore_counts"].append(0), "explore_counts"),
+            ("exp3-up", lambda extra: extra["counts"].pop(), "counts"),
+            ("exp3-up", lambda extra: extra["sums"][1].append(0), "sums"),
+            ("exp3-up", lambda extra: set_sums(extra, 999), "sums"),
+            ("exp3-up", lambda extra: set_sums(extra, -1), "sums"),
+            ("exp3-gr", lambda extra: set_first_sample(extra, 2), "buffers"),
+            ("exp3-gr", lambda extra: set_first_sample(extra, -1), "buffers"),
+        ],
+        ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
+             "sums-negative", "ring-sample-2", "ring-sample-negative"],
+    )
+    def test_tampered_field_rejected(self, algorithm, tamper, field):
+        payload = snapshot_payload(algorithm)
+        tamper(payload["extra"])
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            load_snapshot(json.dumps(payload), NominalGraph.complete(4))
+
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_untampered_snapshot_text_round_trips(self, algorithm):
+        text = json.dumps(snapshot_payload(algorithm))
+        assert load_snapshot(text, NominalGraph.complete(4)).snapshot() == text

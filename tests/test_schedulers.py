@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from graphbandit.errors import ConfigError
-from graphbandit.estimator import Pmf
 from graphbandit.schedulers import (
     DoublingSchedule,
     DoublingState,
@@ -109,14 +108,14 @@ class TestIpDoublingStep:
     def test_load_on_bandit_with_unit_probabilities(self):
         # With q_i = pi_i the per-round load is 1 + K/2, whatever the pmf.
         k = 4
-        pmf = Pmf(np.full(k, 1 / k))
-        state, restart, eta = ip_doubling_step(DoublingState(), pmf, pmf.probs, math.log(k))
+        probs = np.full(k, 1 / k)
+        state, restart, eta = ip_doubling_step(DoublingState(), probs, probs, math.log(k))
         assert state.accumulated == pytest.approx(1 + k / 2)
 
     def test_no_restart_below_threshold(self):
         state = DoublingState(epoch=4, accumulated=10.0)
-        pmf = Pmf(np.array([0.5, 0.5]))
-        new, restart, eta = ip_doubling_step(state, pmf, np.array([0.5, 0.5]), math.log(2))
+        probs = np.array([0.5, 0.5])
+        new, restart, eta = ip_doubling_step(state, probs, np.array([0.5, 0.5]), math.log(2))
         assert not restart
         assert new.epoch == 4
         assert eta == pytest.approx(math.sqrt(math.log(2) / 2**5))
@@ -124,16 +123,15 @@ class TestIpDoublingStep:
     def test_first_overflow_for_two_experts(self):
         # Round one accumulates 1 + K/2 = 2 > 2^0, so the epoch jumps to 1 and
         # eta becomes sqrt(ln 2 / 4).
-        pmf = Pmf(np.array([0.5, 0.5]))
-        state, restart, eta = ip_doubling_step(DoublingState(), pmf, pmf.probs, math.log(2))
+        probs = np.array([0.5, 0.5])
+        state, restart, eta = ip_doubling_step(DoublingState(), probs, probs, math.log(2))
         assert restart
         assert state.epoch == 1
         assert eta == pytest.approx(0.41627730557884884, rel=1e-9)
 
     def test_epoch_jumps_to_smallest_sufficient(self):
         state = DoublingState(epoch=0, accumulated=0.0)
-        pmf = Pmf(np.array([1.0]))
-        new, restart, _ = ip_doubling_step(state, pmf, np.array([0.1]), math.log(2))
+        new, restart, _ = ip_doubling_step(state, np.array([1.0]), np.array([0.1]), math.log(2))
         # load = 1 + 5 = 6 -> smallest epoch with 6 <= 2^r is r = 3
         assert restart and new.epoch == 3
 
@@ -144,9 +142,9 @@ class TestIpDoublingStep:
             probs = rng.dirichlet(np.ones(3))
             q = rng.uniform(0.1, 1.0, size=3)
             before = state.accumulated
-            state, _, _ = ip_doubling_step(state, Pmf(probs), q, math.log(3))
+            state, _, _ = ip_doubling_step(state, probs, q, math.log(3))
             assert state.accumulated >= before + 1.0
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ValueError):
-            ip_doubling_step(DoublingState(), Pmf(np.array([1.0])), np.array([0.0]), 0.0)
+            ip_doubling_step(DoublingState(), np.array([1.0]), np.array([0.0]), 0.0)
