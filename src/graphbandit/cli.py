@@ -168,6 +168,8 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.draws < 1 or args.seed < 0:
+        raise ConfigError(f"--draws must be >= 1 and --seed >= 0, got {args.draws} and {args.seed}")
     checks = default_suite(draws=args.draws, seed=args.seed)
     failures = 0
     for check in checks:

@@ -5,10 +5,11 @@ The pool is always nine experts: five RBF kernel ridge models (bandwidths
 0.01, 0.1, 1, 10, 100), three Laplacian kernel ridge models (bandwidths
 0.01, 1, 100), and one ordinary least-squares model.  Kernel ridge solves
 (G + ridge * I) a = y on the training prefix with ridge = 1 by default.
-Kernel matrices are built in column passes over 64-row blocks: the
-Laplacian's per-feature distances are added in numpy's pairwise order, so
-every entry has the bits of the one-shot ``.sum(axis=2)`` for any number of
-features.
+Kernel models that share a training array share its distances: the Gram
+matrices come from one distance matrix per kind, and prediction builds each
+64-row block's distances once for every bandwidth.  The Laplacian's
+per-feature distances are added in numpy's pairwise order, so every entry
+has the bits of the one-shot ``.sum(axis=2)`` for any number of features.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ __all__ = [
 
 RBF_BANDWIDTHS = (1e-2, 1e-1, 1.0, 10.0, 100.0)
 LAPLACIAN_BANDWIDTHS = (1e-2, 1.0, 100.0)
-POOL_SIZE = len(RBF_BANDWIDTHS) + len(LAPLACIAN_BANDWIDTHS) + 1
 
 # Gram solves stay at desk scale; larger prefixes are subsampled evenly.
 MAX_KERNEL_TRAIN_ROWS = 500
-# Kernel matrices are built this many evaluation rows at a time, so each
+# Distances are built this many evaluation rows at a time, so each
 # (rows, training rows) pass stays in cache.
 _KERNEL_BLOCK_ROWS = 64
+# exp of anything below this underflows to exactly 0.
+_EXP_UNDERFLOW = -746.0
 # numpy's pairwise_sum adds up to this many terms with eight partial sums.
 _PAIRWISE_BLOCK = 128
 
@@ -131,41 +133,64 @@ def _abs_diff_sum(a: np.ndarray, bt: np.ndarray, cols: range, out: np.ndarray) -
         out += _abs_column(a, bt, j, column)
 
 
-def _kernel_matrix(kind: str, sigma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """RBF exp(-||x - y||^2 / (2 sigma^2)) or Laplacian exp(-||x - y||_1 / sigma)
-    between every row of ``a`` and every row of ``b``.
-
-    The rows of ``a`` are walked in blocks of ``_KERNEL_BLOCK_ROWS``, so every
-    elementwise pass stays in cache.  RBF takes one full ``a @ b.T`` (a
-    row-blocked product would change bits); Laplacian adds the feature
-    columns one at a time in numpy's pairwise order.
-    """
+def _distance_blocks(kind: str, a: np.ndarray, b: np.ndarray):
+    """Yield ``(rows, d)`` over 64-row blocks of ``a``: ``d`` holds the
+    bandwidth-free distances from ``a[rows]`` to every row of ``b``, squared
+    Euclidean clipped at 0 (RBF, from one full ``a @ b.T``: a row-blocked
+    product would change bits) or L1 in numpy's pairwise order (Laplacian).
+    A 1-row tail joins the block before it: numpy sends a 1-row
+    matrix-vector product to ``dot``, whose bits differ from gemv's."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature count mismatch: {a.shape[1]} vs {b.shape[1]}")
     if kind == "rbf":
-        out = a @ b.T
-        out *= 2.0
+        cross = a @ b.T
+        cross *= 2.0
         norms_a = np.sum(a**2, axis=1)
         norms_b = np.sum(b**2, axis=1)
-        scale = 2 * sigma**2
-    elif kind == "laplacian":
-        out = np.empty((a.shape[0], b.shape[0]))
-        bt = np.ascontiguousarray(b.T)
-        scale = sigma
     else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    for start in range(0, a.shape[0], _KERNEL_BLOCK_ROWS):
-        stop = start + _KERNEL_BLOCK_ROWS
-        block = out[start:stop]
+        bt = np.ascontiguousarray(b.T)
+    stops = [*range(_KERNEL_BLOCK_ROWS, a.shape[0] - 1, _KERNEL_BLOCK_ROWS), a.shape[0]]
+    for rows in map(slice, [0] + stops, stops):
         if kind == "rbf":
-            np.subtract(norms_a[start:stop, None] + norms_b, block, out=block)
-            np.clip(block, 0.0, None, out=block)
+            d = cross[rows]
+            np.subtract(norms_a[rows, None] + norms_b, d, out=d)
+            np.clip(d, 0.0, None, out=d)
         else:
-            _abs_diff_sum(a[start:stop], bt, range(a.shape[1]), block)
-        np.negative(block, out=block)
-        block /= scale
-        np.exp(block, out=block)
-    return out
+            d = np.empty((rows.stop - rows.start, b.shape[0]))
+            _abs_diff_sum(a[rows], bt, range(a.shape[1]), d)
+        yield rows, d
+
+
+def _exp_kernel(kind: str, sigma: float, d: np.ndarray) -> np.ndarray:
+    """The RBF exp(-d / (2 sigma^2)) or Laplacian exp(-d / sigma) of the
+    distances ``d``.  numpy's exp takes a slow path on every result that
+    underflows to 0, so arguments holding any below ``_EXP_UNDERFLOW`` skip
+    those lanes into zeros, with the same bits.  Other arguments take plain
+    exp, as the masked call costs half again as much there (18 vs 12 ms per
+    bandwidth on dataset-k9, one thread of a 2-core Xeon)."""
+    args = d / -(2 * sigma**2 if kind == "rbf" else sigma)
+    if args.min(initial=0.0) < _EXP_UNDERFLOW:  # a NaN makes the min NaN: plain path
+        return np.exp(args, out=np.zeros_like(args), where=args > _EXP_UNDERFLOW)
+    return np.exp(args, out=args)
+
+
+def _predict_pool(pool, x: np.ndarray) -> np.ndarray:
+    """The (len(pool), len(x)) predictions of every model in ``pool``.  The
+    kernel models that share one kind and one training array are predicted
+    in one pass over row blocks of ``x``: each block's distances are built
+    once and serve every bandwidth."""
+    predictions = np.empty((len(pool), x.shape[0]))
+    groups: dict = {}
+    for i, model in enumerate(pool):
+        if isinstance(model, KernelRidgeExpert):
+            groups.setdefault((model.kind, id(model.train_features)), []).append(i)
+        else:
+            predictions[i] = model.predict(x)
+    for (kind, _), members in groups.items():
+        for rows, d in _distance_blocks(kind, x, pool[members[0]].train_features):
+            for i in members:
+                predictions[i, rows] = _exp_kernel(kind, pool[i].bandwidth, d) @ pool[i].coef
+    return predictions
 
 
 @dataclass(frozen=True)
@@ -183,7 +208,7 @@ class KernelRidgeExpert:
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _kernel_matrix(self.kind, self.bandwidth, x, self.train_features) @ self.coef
+        return _predict_pool([self], x)[0]
 
     def describe(self) -> str:
         return f"{self.kind}(sigma={self.bandwidth:g})"
@@ -296,10 +321,16 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
         raise IngestError(f"{path}: {exc}") from exc
 
 
-def _fit_kernel_ridge(kind: str, bandwidth: float, x: np.ndarray, y: np.ndarray, ridge: float) -> KernelRidgeExpert:
-    gram = _kernel_matrix(kind, bandwidth, x, x)
-    coef = np.linalg.solve(gram + ridge * np.eye(len(x)), y)
-    return KernelRidgeExpert(kind=kind, bandwidth=bandwidth, train_features=x.copy(), coef=coef)
+def _fit_kernel_ridges(kind: str, bandwidths, x: np.ndarray, y: np.ndarray, ridge: float) -> list[KernelRidgeExpert]:
+    """One kernel ridge model per bandwidth on the training rows ``x``; the
+    distance matrix is built once and the models share ``x``."""
+    dist = np.vstack([d for _, d in _distance_blocks(kind, x, x)])
+    models = []
+    for bandwidth in bandwidths:
+        gram = _exp_kernel(kind, bandwidth, dist)
+        coef = np.linalg.solve(gram + ridge * np.eye(len(x)), y)
+        models.append(KernelRidgeExpert(kind=kind, bandwidth=bandwidth, train_features=x, coef=coef))
+    return models
 
 
 def _fit_linear(x: np.ndarray, y: np.ndarray) -> LinearExpert:
@@ -322,14 +353,12 @@ def train_expert_pool(dataset: Dataset, ridge: float = 1.0, max_kernel_rows: int
         keep = np.linspace(0, len(y) - 1, max_kernel_rows).round().astype(int)
         kx, ky = x[keep], y[keep]
     else:
-        kx, ky = x, y
-    pool: list = []
-    for bandwidth in RBF_BANDWIDTHS:
-        pool.append(_fit_kernel_ridge("rbf", bandwidth, kx, ky, ridge))
-    for bandwidth in LAPLACIAN_BANDWIDTHS:
-        pool.append(_fit_kernel_ridge("laplacian", bandwidth, kx, ky, ridge))
-    pool.append(_fit_linear(x, y))
-    return pool
+        kx, ky = x.copy(), y
+    return [
+        *_fit_kernel_ridges("rbf", RBF_BANDWIDTHS, kx, ky, ridge),
+        *_fit_kernel_ridges("laplacian", LAPLACIAN_BANDWIDTHS, kx, ky, ridge),
+        _fit_linear(x, y),
+    ]
 
 
 @dataclass(frozen=True)
@@ -356,7 +385,7 @@ def build_dataset_bundle(dataset: Dataset, pool) -> DatasetBundle:
     x, y = dataset.evaluation_rows()
     if len(y) < 1:
         raise ValueError("no evaluation rows after the training prefix")
-    predictions = np.stack([model.predict(x) for model in pool])
+    predictions = _predict_pool(pool, x)
     squared = (predictions - y[None, :]) ** 2
     return DatasetBundle(
         predictions=predictions,

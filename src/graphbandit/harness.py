@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bundle is not None and self.bundle.num_experts != self.graph.num_experts:
             raise ConfigError(
                 f"bundle has {self.bundle.num_experts} experts, graph has {self.graph.num_experts}"

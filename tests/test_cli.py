@@ -110,13 +110,22 @@ SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
         (SIMULATE + ["--K", "2", "--adversary", "table:{missing}"], "{missing}: cannot read: No such file or directory"),
         (["dataset", "--algo", "exp3", "--data", "{missing}", "--target", "y"],
          "{missing}: cannot read: No such file or directory"),
+        (SIMULATE + ["--K", "2", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["dataset", "--algo", "exp3", "--data", "{data}", "--target", "y", "--runs", "1", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["oracle", "--draws", "0"], "--draws must be >= 1"),
+        (["oracle", "--draws", "-5"], "--draws must be >= 1"),
+        (["oracle", "--draws", "10", "--seed", "-1"], "--seed >= 0"),
     ],
     ids=["gap-nonnumeric", "gap-zero", "switching-period-zero", "switching-period-nonnumeric", "k-zero",
-         "missing-graph-file", "missing-table-csv", "missing-data-csv"],
+         "missing-graph-file", "missing-table-csv", "missing-data-csv", "simulate-negative-seed",
+         "dataset-negative-seed", "oracle-zero-draws", "oracle-negative-draws", "oracle-negative-seed"],
 )
 def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, args, reason):
     missing = str(tmp_path / "missing.txt")
-    code = run_cli([arg.replace("{missing}", missing) for arg in args])
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + "\n".join(f"{i / 120},{(i % 5) / 5}" for i in range(120)))
+    code = run_cli([arg.replace("{missing}", missing).replace("{data}", str(data)) for arg in args])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ")

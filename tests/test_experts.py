@@ -11,7 +11,8 @@ from graphbandit.experts import (
     Dataset,
     KernelRidgeExpert,
     LinearExpert,
-    _kernel_matrix,
+    _distance_blocks,
+    _exp_kernel,
     build_dataset_bundle,
     load_csv,
     train_expert_pool,
@@ -40,24 +41,33 @@ def one_shot_kernel_matrix(kind, sigma, a, b):
     return np.exp(-np.abs(a[:, None, :] - b[None]).sum(axis=2) / sigma)
 
 
+def kernel_matrix(kind, sigma, a, b):
+    """The package's kernel between every row of ``a`` and every row of
+    ``b``: its distance blocks through its exp kernel."""
+    out = np.empty((len(a), len(b)))
+    for rows, d in _distance_blocks(kind, a, b):
+        out[rows] = _exp_kernel(kind, sigma, d)
+    return out
+
+
 class TestKernelMatrix:
     def test_identity_at_zero_distance(self):
         x = np.array([[0.3, 0.7]])
-        assert _kernel_matrix("rbf", 1.0, x, x)[0, 0] == 1.0
-        assert _kernel_matrix("laplacian", 1.0, x, x)[0, 0] == 1.0
+        assert kernel_matrix("rbf", 1.0, x, x)[0, 0] == 1.0
+        assert kernel_matrix("laplacian", 1.0, x, x)[0, 0] == 1.0
 
     def test_rbf_hand_value(self):
         # squared distance 2 at unit bandwidth -> e^-1
-        value = _kernel_matrix("rbf", 1.0, np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))[0, 0]
+        value = kernel_matrix("rbf", 1.0, np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))[0, 0]
         assert value == pytest.approx(math.exp(-1))
 
     def test_laplacian_hand_value(self):
-        assert _kernel_matrix("laplacian", 1.0, np.array([[0.0]]), np.array([[1.0]]))[0, 0] == pytest.approx(math.exp(-1))
+        assert kernel_matrix("laplacian", 1.0, np.array([[0.0]]), np.array([[1.0]]))[0, 0] == pytest.approx(math.exp(-1))
 
     @pytest.mark.parametrize("kind", ["rbf", "laplacian"])
     def test_dimension_mismatch(self, kind):
         with pytest.raises(ValueError, match="2 vs 3"):
-            _kernel_matrix(kind, 1.0, np.zeros((1, 2)), np.zeros((1, 3)))
+            kernel_matrix(kind, 1.0, np.zeros((1, 2)), np.zeros((1, 3)))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -76,7 +86,93 @@ class TestKernelMatrix:
         b = rng.random((train_rows, dims))
         shared = min(shared, rows, train_rows)
         b[:shared] = a[:shared]  # zero distances exercise the RBF clip
-        assert np.array_equal(_kernel_matrix(kind, sigma, a, b), one_shot_kernel_matrix(kind, sigma, a, b))
+        assert np.array_equal(kernel_matrix(kind, sigma, a, b), one_shot_kernel_matrix(kind, sigma, a, b))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 65, 66, 127, 128, 129, 130, 193, 257, 300])
+    def test_row_blocks_cover_the_rows_without_a_one_row_tail(self, rows):
+        a = np.zeros((rows, 2))
+        blocks = [(r.start, r.stop) for r, _ in _distance_blocks("laplacian", a, np.zeros((3, 2)))]
+        assert [start for start, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(stop - start in range(2, 66) for start, stop in blocks) or rows < 2
+
+    def test_rbf_block_with_arguments_on_both_sides_of_the_underflow_cutoff(self):
+        # At sigma = 0.01 the cutoff -746 is a squared distance of 0.1492.
+        a = np.array([[0.0], [0.1], [0.3], [0.38], [0.39], [0.5], [1.0]])
+        b = np.array([[0.0]])
+        ((_, d),) = _distance_blocks("rbf", a, b)
+        args = d / -(2 * 0.01**2)
+        assert args.min() < -746 < args.max()
+        kernel = _exp_kernel("rbf", 0.01, d)
+        assert np.array_equal(kernel, np.exp(args))
+        assert kernel[-1, 0] == 0.0 and kernel[0, 0] == 1.0
+
+
+# Row counts where a 64-row block walk could leave a 1-row tail or none.
+BLOCK_EDGE_ROWS = [1, 63, 64, 65, 129, 193, 257]
+
+
+def reference_prediction(model, x):
+    """One model's predictions through the one-shot kernel matrix."""
+    return one_shot_kernel_matrix(model.kind, model.bandwidth, x, model.train_features) @ model.coef
+
+
+class TestSharedBlockPredictions:
+    """The bundle's kernel rows and the trained coefficients against a per-model
+    one-shot reference, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
+        rows=st.one_of(st.sampled_from(BLOCK_EDGE_ROWS), st.integers(1, 300)),
+        train_rows=st.integers(19, 40),
+        shared=st.integers(1, 3),
+        hand_rows=st.integers(1, 30),
+        hand_kind=st.sampled_from(["rbf", "laplacian"]),
+    )
+    def test_bit_identical_to_per_model_reference(self, seed, dims, rows, train_rows, shared, hand_rows, hand_kind):
+        rng = np.random.default_rng(seed)
+        x = rng.random((train_rows + rows, dims))
+        shared = min(shared, rows)
+        x[train_rows : train_rows + shared] = x[:shared]  # zero distances: rbf 0.01 straddles -746
+        data = Dataset(features=x, targets=rng.random(len(x)), split=(train_rows + 0.5) / len(x))
+        assert data.train_count == train_rows
+        pool = train_expert_pool(data)
+        hand = KernelRidgeExpert(kind=hand_kind, bandwidth=0.01, train_features=rng.random((hand_rows, dims)),
+                                 coef=rng.normal(size=hand_rows))
+        pool.insert(3, hand)
+        bundle = build_dataset_bundle(data, pool)
+        x_train, y_train = data.training_rows()
+        x_eval, _ = data.evaluation_rows()
+        for model, row in zip(pool, bundle.predictions):
+            if isinstance(model, LinearExpert):
+                assert np.array_equal(row, model.predict(x_eval))
+                continue
+            assert np.array_equal(row, reference_prediction(model, x_eval)), model.describe()
+            if model is not hand:
+                gram = one_shot_kernel_matrix(model.kind, model.bandwidth, x_train, x_train)
+                assert np.array_equal(model.coef, np.linalg.solve(gram + np.eye(train_rows), y_train))
+
+    @pytest.mark.parametrize("kind", ["rbf", "laplacian"])
+    def test_nan_features_give_nan_predictions(self, kind):
+        # Far rows underflow at sigma = 0.01; a NaN row must not be read as one.
+        rng = np.random.default_rng(3)
+        model = KernelRidgeExpert(kind=kind, bandwidth=0.01, train_features=rng.random((20, 3)),
+                                  coef=rng.normal(size=20))
+        x = np.vstack([model.train_features[:2], rng.random((60, 3)) + 5.0, [[np.nan, 0.5, 0.5]]])
+        predicted = model.predict(x)
+        assert np.isnan(predicted[-1]) and np.isfinite(predicted[:-1]).all()
+        assert np.array_equal(predicted, reference_prediction(model, x), equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["rbf", "laplacian"])
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_single_model_predict_is_the_one_model_case(self, kind, rows):
+        rng = np.random.default_rng(rows)
+        model = KernelRidgeExpert(kind=kind, bandwidth=0.01, train_features=rng.random((20, 3)),
+                                  coef=rng.normal(size=20))
+        x = rng.random((rows, 3))
+        assert np.array_equal(model.predict(x), reference_prediction(model, x))
 
 
 class TestKernelRidgeExpertChecks:
@@ -98,9 +194,9 @@ class TestTraining:
     def test_single_training_point_ridge_solution(self):
         # G = [1], ridge 1 -> coefficient 0.5 and prediction 0.5 at the point.
         x = np.array([[0.2, 0.4]])
-        from graphbandit.experts import _fit_kernel_ridge
+        from graphbandit.experts import _fit_kernel_ridges
 
-        model = _fit_kernel_ridge("rbf", 1.0, x, np.array([1.0]), ridge=1.0)
+        (model,) = _fit_kernel_ridges("rbf", (1.0,), x, np.array([1.0]), ridge=1.0)
         assert model.coef[0] == pytest.approx(0.5)
         assert model.predict(x)[0] == pytest.approx(0.5)
 
@@ -149,7 +245,7 @@ class TestTraining:
         for kind in ("rbf", "laplacian"):
             for sigma in (0.01, 1.0, 100.0):
                 x = rng.random((40, 4))
-                gram = _kernel_matrix(kind, sigma, x, x)
+                gram = kernel_matrix(kind, sigma, x, x)
                 np.testing.assert_allclose(gram, gram.T, atol=1e-12)
                 np.linalg.cholesky(gram + np.eye(40))
 

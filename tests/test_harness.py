@@ -90,6 +90,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exactly one"):
             small_config(adversary=None)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, "3", (1, 2)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            small_config(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert small_config(seed=np.int64(7)).seed == 7
+
     def test_bad_probability_generator(self):
         with pytest.raises(ConfigError):
             small_config(prob_generator=("uniform", 0.5, 0.2))
