@@ -225,13 +225,9 @@ def run_episode(
     probs: EdgeProbabilityTable,
     horizon: int,
     seed,
-    graphs=None,
 ) -> RunTrace:
-    """Run the full select -> realize -> update loop for ``horizon`` rounds.
-
-    ``graphs``, when given, is a callable t -> (graph, probs) producing the
-    round's nominal graph; learners that require a static graph reject any
-    round whose graph differs from the one they were built with.
+    """Run the full select -> realize -> update loop for ``horizon`` rounds
+    on the static ``graph``, the one the learner was built with.
     Deterministic given the seed.
 
     The loss table is checked once, before round 1.  The learners of this
@@ -241,12 +237,12 @@ def run_episode(
     ``select``/``update`` gets a ``FeedbackEvent``, as from
     ``realize_feedback``.
 
-    On a static graph, exp3-up and exp3-gr play each run of forced-
-    exploration rounds as one block (``_explore_run``), until the deficit is
-    paid, the doubling epoch ends or the horizon: choices as ``select``
-    makes them, one draw of the activations (``_fire_run``), one record per
-    explored expert.  Forced rounds leave the weights and the learner's
-    generator alone, so everything ends as with one round at a time.
+    exp3-up and exp3-gr play each run of forced-exploration rounds as one
+    block (``_explore_run``), until the deficit is paid, the doubling epoch
+    ends or the horizon: choices as ``select`` makes them, one draw of the
+    activations (``_fire_run``), one record per explored expert.  Forced
+    rounds leave the weights and the learner's generator alone, so
+    everything ends as with one round at a time.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -261,25 +257,20 @@ def run_episode(
         raise ContractError("adversary produced losses outside [0, 1] or non-finite")
 
     observe = getattr(learner, "_observe", None)
-    explore = getattr(learner, "_explore_run", None) if graphs is None else None
+    explore = getattr(learner, "_explore_run", None)
     fire_run = partial(_fire_run, graph, probs, rng=feedback_rng)
     chosen = np.empty(horizon, dtype=np.int64)
     t = 1
     while t <= horizon:
         if explore is not None:
-            picks = explore(t, horizon, fire_run)
+            picks = explore(t, horizon, graph, fire_run)
             if picks.size:
                 chosen[t - 1 : t - 1 + picks.size] = picks
                 t += picks.size
                 continue
-        if graphs is None:
-            g_t, p_t = graph, probs
-            pick = learner.select(t, g_t)
-        else:
-            g_t, p_t = graphs(t)
-            pick = learner.select(t, g_t, p_t)
-        _check_chosen(g_t, pick)
-        fired, hits = _fire(g_t, p_t, pick, feedback_rng)
+        pick = learner.select(t, graph)
+        _check_chosen(graph, pick)
+        fired, hits = _fire(graph, probs, pick, feedback_rng)
         losses = table[t - 1]
         if observe is not None:
             observe(t, pick, fired, losses[fired], hits)

@@ -348,7 +348,7 @@ def train_expert_pool(dataset: Dataset, ridge: float = 1.0, max_kernel_rows: int
     """
     x, y = dataset.training_rows()
     if len(y) < 10:
-        raise ValueError(f"training prefix has {len(y)} rows; need at least 10")
+        raise IngestError(f"training prefix has {len(y)} rows; need at least 10")
     if len(y) > max_kernel_rows:
         keep = np.linspace(0, len(y) - 1, max_kernel_rows).round().astype(int)
         kx, ky = x[keep], y[keep]

@@ -1,7 +1,7 @@
 """The learners.
 
 Five policies share one interface (``select(t, graph) -> index`` then
-``update(feedback)``):
+``update(feedback)``) and run on the one nominal graph they were built with:
 
 * ``exp3-ip``  - exploits the revealed edge probabilities (informative setting);
 * ``exp3-up``  - estimates edge probabilities online, with an inflated
@@ -11,7 +11,8 @@ Five policies share one interface (``select(t, graph) -> index`` then
 * ``exp3``     - the classic bandit baseline, side observations ignored;
 * ``exp3-dom`` - treats the nominal graph as exact (all edge probabilities 1).
 
-All expert indices crossing the public interface are 1-based.
+Only exp3-ip takes the edge-probability table; exp3 and exp3-dom are exp3-ip
+on fixed tables.  All expert indices crossing the public interface are 1-based.
 
 A learner's state is plain arrays.  ``run_episode`` hands each round's
 feedback to ``_observe`` as arrays; ``update`` is its ``FeedbackEvent`` view,
@@ -606,14 +607,15 @@ class _LearnerBase:
     """
 
     algorithm = ""
-    requires_static_graph = False
 
     def __init__(self, config: LearnerConfig, graph: NominalGraph, probs=None, seed=0):
         if config.algorithm != self.algorithm:
             raise ConfigError(f"config says {config.algorithm!r} but this learner is {self.algorithm!r}")
+        if (probs is None) == (self.algorithm == "exp3-ip"):
+            need = "needs" if probs is None else "must not receive"
+            raise ConfigError(f"{self.algorithm} {need} the edge-probability table; only exp3-ip takes it")
         self.config = config
         self._graph = graph
-        self._probs = probs
         self._k = graph.num_experts
         self._log_weights = np.zeros(self._k)  # canonical: largest entry exactly 0
         self._round = 0
@@ -642,19 +644,21 @@ class _LearnerBase:
             seed = np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(seed))
 
-    def select(self, t: int, graph: NominalGraph | None = None, probs=None) -> int:
-        self._check_turn(t)
-        g, p = self._resolve_graph(graph, probs)
-        choice, extras = self._choose(t, g, p)
+    def select(self, t: int, graph: NominalGraph | None = None) -> int:
+        """Choose round ``t``'s expert; ``graph``, if given, must be the learner's own."""
+        self._check_turn(t, graph)
+        choice, extras = self._choose(t)
         self._pending = (t, choice, extras)
         return choice
 
-    def _check_turn(self, t: int) -> None:
-        """Raise unless round ``t`` is the next one to choose for."""
+    def _check_turn(self, t: int, graph: NominalGraph | None) -> None:
+        """Raise unless round ``t`` is the next one to choose for, on the learner's own graph."""
         if self._pending is not None:
             raise ProtocolError("select called twice without an update in between")
         if t != self._round + 1:
             raise ProtocolError(f"expected round {self._round + 1}, got {t}")
+        if not (graph is None or graph is self._graph or graph == self._graph):
+            raise ProtocolError(f"{self.algorithm} runs on the static nominal graph it was built with")
 
     def update(self, feedback: FeedbackEvent) -> None:
         if self._pending is None:
@@ -684,23 +688,7 @@ class _LearnerBase:
 
     # -- hooks ------------------------------------------------------------
 
-    def _resolve_graph(self, graph, probs):
-        if graph is None:
-            return self._graph, self._probs
-        if graph.num_experts != self._k:
-            raise ProtocolError("graph size changed mid-run")
-        if self.requires_static_graph:
-            if not (graph is self._graph or graph == self._graph):
-                raise ProtocolError(f"{self.algorithm} requires a static nominal graph")
-            if probs is not None:
-                raise ProtocolError("uninformative learner cannot take a probability table")
-            return self._graph, self._probs
-        return self._resolve_varying(graph, probs)
-
-    def _resolve_varying(self, graph, probs):
-        raise NotImplementedError
-
-    def _choose(self, t, graph, probs):
+    def _choose(self, t):
         raise NotImplementedError
 
     def _apply(self, chosen, fired, losses, hits, extras):
@@ -724,14 +712,14 @@ class _LearnerBase:
             estimates[fired] = values
             self._log_weights = _exp_weight_step(self._log_weights, eta, estimates)
 
-    def _hits(self, graph: NominalGraph, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
-        """The round's hit mask over ``chosen``'s out-positions in ``graph``.
-        Feedback from ``update`` (``hits`` None) was not drawn by ``_fire``,
-        so its activations are checked against the graph here."""
+    def _hits(self, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
+        """The round's hit mask over ``chosen``'s out-positions.  Feedback
+        from ``update`` (``hits`` None) was not drawn by ``_fire``, so its
+        activations are checked against the graph here."""
         if hits is None:
             realized = np.zeros(self._k, dtype=bool)
             realized[fired] = True
-            hits = _out_edge_hits(graph, chosen, realized)
+            hits = _out_edge_hits(self._graph, chosen, realized)
         return hits
 
     # -- snapshots ---------------------------------------------------------
@@ -763,14 +751,16 @@ class _LearnerBase:
         pass
 
 
-def _snapshot_array(fields: dict, name: str, shape: tuple, dtype=np.int64) -> np.ndarray:
-    """The snapshot field ``name`` as an array; raises naming it unless its shape is ``shape``."""
+def _snapshot_array(fields: dict, name: str, shape: tuple, dtype=np.int64, bounds=None) -> np.ndarray:
+    """The snapshot field ``name`` as an array; raises naming it unless of shape ``shape`` and within ``bounds``."""
     try:
         values = np.array(fields[name], dtype=dtype)
     except ValueError as exc:  # a ragged list
         raise ValueError(f"snapshot field {name!r}: {exc}") from None
     if values.shape != shape:
         raise ValueError(f"snapshot field {name!r} has shape {values.shape}, expected {shape}")
+    if bounds is not None and not ((values >= bounds[0]) & (values <= bounds[1])).all():
+        raise ValueError(f"snapshot field {name!r} must lie in [{bounds[0]}, {bounds[1]}]")
     return values
 
 
@@ -811,36 +801,30 @@ class Exp3IP(_LearnerBase):
     algorithm = "exp3-ip"
 
     def __init__(self, config, graph, probs=None, seed=0):
-        if probs is None:
-            raise ConfigError(f"{config.algorithm} needs the edge-probability table (informative setting)")
         super().__init__(config, graph, probs, seed)
-        self._table = _GraphTable.build(self._graph, self._probs, greedy_dominating_set(self._graph))
+        view, table = self._view(graph, probs)
+        self._table = _GraphTable.build(view, table, greedy_dominating_set(view))
         self._doubling = DoublingState() if isinstance(config.schedule, DoublingSchedule) else None
+
+    def _view(self, graph, probs):
+        """The (graph, edge-probability table) the learner mixes and estimates on."""
+        return graph, probs
 
     def _eta(self, t: int) -> float:
         if self._doubling is not None:
             return math.sqrt(math.log(self._k) / 2.0 ** (self._doubling.epoch + 1))
         return eta_at(self.config.schedule, t)
 
-    def _resolve_varying(self, graph, probs):
-        if graph is self._graph or graph == self._graph:
-            return self._graph, self._probs
-        if probs is None:
-            raise ProtocolError("a time-varying graph must come with its probability table")
-        return graph, probs
-
-    def _choose(self, t, graph, probs):
-        table = self._table if graph is self._graph else _GraphTable.build(graph, probs, greedy_dominating_set(graph))
+    def _choose(self, t):
         eta = self._eta(t)
-        choice, pmf, _ = self._sample(_informed_mix(self._log_weights, eta, table))
-        return choice, (pmf, eta, table, graph)
+        choice, pmf, _ = self._sample(_informed_mix(self._log_weights, eta, self._table))
+        return choice, (pmf, eta)
 
     def _apply(self, chosen, fired, losses, hits, extras):
-        pmf, eta, table, graph = extras
-        q = pmf @ table.masked
+        pmf, eta = extras
+        q = pmf @ self._table.masked
         values = _importance_estimates(losses, q[fired])
-        if hits is None:  # after the loss check, as in exp3-up and exp3-gr
-            self._hits(graph, chosen, fired, hits)
+        self._hits(chosen, fired, hits)  # after the loss check, as in exp3-up and exp3-gr
         self._exp_update(eta, fired, values)
         if self._doubling is not None:
             self._doubling, restart, _ = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
@@ -865,14 +849,7 @@ class Exp3Dom(Exp3IP):
 
     algorithm = "exp3-dom"
 
-    def __init__(self, config, graph, probs=None, seed=0):
-        if probs is not None:
-            raise ConfigError("exp3-dom never takes the probability table; it assumes the graph is exact")
-        super().__init__(config, graph, EdgeProbabilityTable.constant(graph, 1.0), seed)
-
-    def _resolve_varying(self, graph, probs):
-        if graph is self._graph or graph == self._graph:
-            return self._graph, self._probs
+    def _view(self, graph, probs):
         return graph, EdgeProbabilityTable.constant(graph, 1.0)
 
 
@@ -884,14 +861,9 @@ class Exp3(Exp3IP):
 
     algorithm = "exp3"
 
-    def __init__(self, config, graph, probs=None, seed=0):
-        if probs is not None:
-            raise ConfigError("exp3 never takes the probability table")
+    def _view(self, graph, probs):
         bandit = NominalGraph.bandit(graph.num_experts)
-        Exp3IP.__init__(self, config, bandit, EdgeProbabilityTable.constant(bandit, 1.0), seed)
-
-    def _resolve_varying(self, graph, probs):
-        return self._graph, self._probs  # the internal bandit view, regardless
+        return bandit, EdgeProbabilityTable.constant(bandit, 1.0)
 
     def _apply(self, chosen, fired, losses, hits, extras):
         if hits is None:
@@ -907,12 +879,8 @@ class _UninformativeBase(_LearnerBase):
     A subclass gives its per-edge sample store (``_store``) and the loss
     estimates of a pmf-driven round (``_estimates``)."""
 
-    requires_static_graph = True
-
     def __init__(self, config, graph, probs=None, seed=0):
-        if probs is not None:
-            raise ConfigError(f"{config.algorithm} runs uninformative; it must not receive the probability table")
-        super().__init__(config, graph, None, seed)
+        super().__init__(config, graph, probs, seed)
         self._dominating = greedy_dominating_set(graph)
         self._dom = _positions(self._dominating)
         self._explore_counts = np.zeros(self._k, dtype=np.int64)
@@ -948,7 +916,7 @@ class _UninformativeBase(_LearnerBase):
                 return v + 1
         raise InvariantError("exploration requested with no deficit")
 
-    def _choose(self, t, graph, probs):
+    def _choose(self, t):
         self._advance_epochs(t)
         if self._exploring():
             return self._next_exploration(), None
@@ -961,15 +929,16 @@ class _UninformativeBase(_LearnerBase):
         self._explore_counts[chosen - 1] += 1
         self._deficit -= 1
 
-    def _explore_run(self, t: int, horizon: int, fire) -> np.ndarray:
+    def _explore_run(self, t: int, horizon: int, graph: NominalGraph, fire) -> np.ndarray:
         """Play the forced rounds from round ``t`` on, up to the deficit, the
         end of the doubling epoch and ``horizon``, as one block; returns
         their 1-based choices (none when round t is not forced).  Each is
-        chosen as ``select`` would; ``fire`` is ``environment._fire_run``
-        for the block, and each source's rows are recorded in one call."""
+        chosen as ``select(t, graph)`` would; ``fire`` is
+        ``environment._fire_run`` for the block, and each source's rows are
+        recorded in one call."""
         if not self._deficit and (self._epoch is None or t <= 2 ** (self._epoch + 1)):
             return _NO_CHOICES  # no round owed and no restart due to raise the floor
-        self._check_turn(t)
+        self._check_turn(t, graph)
         self._advance_epochs(t)
         n = min(self._deficit, horizon - t + 1)
         if self._epoch is not None:
@@ -990,12 +959,12 @@ class _UninformativeBase(_LearnerBase):
 
     def _apply(self, chosen, fired, losses, hits, extras):
         if extras is None:  # exploration round: record samples, no weight update
-            self._store._record(chosen - 1, self._hits(self._graph, chosen, fired, hits))
+            self._store._record(chosen - 1, self._hits(chosen, fired, hits))
             self._explored(chosen)
             return
         values = self._estimates(fired, losses, extras)
         # Recorded after estimating, so the round's estimates read only earlier rounds.
-        self._store._record(chosen - 1, self._hits(self._graph, chosen, fired, hits))
+        self._store._record(chosen - 1, self._hits(chosen, fired, hits))
         self._exp_update(extras[2], fired, values)
 
     def _advance_epochs(self, t: int) -> None:
@@ -1029,11 +998,11 @@ class _UninformativeBase(_LearnerBase):
         }
 
     def _restore_base_extra(self, extra: dict) -> None:
-        self._explore_counts = _snapshot_array(extra, "explore_counts", (self._k,))
-        self._explore_cursor = int(extra["explore_cursor"])
+        self._explore_counts = _snapshot_array(extra, "explore_counts", (self._k,), bounds=(0, math.inf))
+        self._explore_cursor = int(_snapshot_array(extra, "explore_cursor", (), bounds=(0, self._k - 1)))
         self._epoch = extra["epoch"] if extra["epoch"] is None else int(extra["epoch"])
         self._eta_value = extra["eta_value"]
-        self._set_floor(int(extra["min_observations"]))
+        self._set_floor(int(_snapshot_array(extra, "min_observations", (), bounds=(1, math.inf))))
 
 
 class Exp3UP(_UninformativeBase):

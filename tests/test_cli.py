@@ -116,16 +116,22 @@ SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
         (["oracle", "--draws", "0"], "--draws must be >= 1"),
         (["oracle", "--draws", "-5"], "--draws must be >= 1"),
         (["oracle", "--draws", "10", "--seed", "-1"], "--seed >= 0"),
+        (["dataset", "--algo", "exp3", "--data", "{short}", "--target", "y"],
+         "training prefix has 4 rows; need at least 10"),
     ],
     ids=["gap-nonnumeric", "gap-zero", "switching-period-zero", "switching-period-nonnumeric", "k-zero",
          "missing-graph-file", "missing-table-csv", "missing-data-csv", "simulate-negative-seed",
-         "dataset-negative-seed", "oracle-zero-draws", "oracle-negative-draws", "oracle-negative-seed"],
+         "dataset-negative-seed", "oracle-zero-draws", "oracle-negative-draws", "oracle-negative-seed",
+         "dataset-short-training-prefix"],
 )
 def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, args, reason):
     missing = str(tmp_path / "missing.txt")
     data = tmp_path / "data.csv"
     data.write_text("x,y\n" + "\n".join(f"{i / 120},{(i % 5) / 5}" for i in range(120)))
-    code = run_cli([arg.replace("{missing}", missing).replace("{data}", str(data)) for arg in args])
+    short = tmp_path / "short.csv"  # 40 rows: a 10% training prefix of 4
+    short.write_text("x,y\n" + "\n".join(f"{i / 40},{(i % 5) / 5}" for i in range(40)))
+    code = run_cli([arg.replace("{missing}", missing).replace("{data}", str(data)).replace("{short}", str(short))
+                    for arg in args])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -27,7 +27,7 @@ class StubLearner:
     def reseed(self, seed):
         self.rng = np.random.Generator(np.random.Philox(seed))
 
-    def select(self, t, graph=None, probs=None):
+    def select(self, t, graph=None):
         if self.index is not None:
             return self.index
         return sample_index(self.pmf, self.rng)
@@ -218,44 +218,3 @@ def test_substreams_are_disjoint():
     a = substream(5, 0).random(8)
     b = substream(5, 1).random(8)
     assert not np.allclose(a, b)
-
-
-class TestTimeVaryingGraphs:
-    @staticmethod
-    def _sources():
-        k = 4
-        complete = NominalGraph.complete(k)
-        star = NominalGraph.from_edges(k, [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 3), (4, 4)])
-        p_complete = EdgeProbabilityTable.constant(complete, 0.5)
-        p_star = EdgeProbabilityTable.constant(star, 0.5)
-
-        def graphs(t):
-            return (star, p_star) if t % 2 else (complete, p_complete)
-
-        return complete, p_complete, graphs
-
-    def test_informed_family_accepts_round_graphs(self):
-        from graphbandit.policies import LearnerConfig, make_learner
-        from graphbandit.schedulers import FixedEta
-
-        complete, p_complete, graphs = self._sources()
-        adv = StochasticGapAdversary(gap=0.2)
-        for algorithm in ("exp3-ip", "exp3-dom", "exp3"):
-            probs = p_complete if algorithm == "exp3-ip" else None
-            learner = make_learner(LearnerConfig(algorithm, FixedEta(0.2)), complete, probs=probs)
-            trace = run_episode(learner, adv, complete, p_complete, 50, seed=3, graphs=graphs)
-            assert trace.horizon == 50
-
-    def test_uninformative_learners_reject_varying_graphs(self):
-        from graphbandit.errors import ProtocolError
-        from graphbandit.policies import LearnerConfig, make_learner
-        from graphbandit.schedulers import FixedEta
-
-        complete, p_complete, graphs = self._sources()
-        for algorithm in ("exp3-up", "exp3-gr"):
-            learner = make_learner(
-                LearnerConfig(algorithm, FixedEta(0.2), min_observations=2), complete
-            )
-            with pytest.raises(ProtocolError, match="static"):
-                run_episode(learner, StochasticGapAdversary(gap=0.2), complete, p_complete,
-                            50, seed=3, graphs=graphs)

@@ -145,3 +145,19 @@ class TestEstimatePipelineMoments:
         rng = np.random.default_rng(2024)
         for check in ip_estimator_checks(graph, probs, pmf, losses, 1_000_000, rng):
             assert check.passed(4.0), check.describe()
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_identities_on_random_sparse_graphs(self, k):
+        # A seeded sparse digraph per K (each off-diagonal edge kept with
+        # probability 0.3), independent edge probabilities in [0.1, 0.9] and
+        # a random pmf, half Dirichlet and half uniform so that every
+        # observation probability is at least 0.05 / K.
+        rng = np.random.default_rng(1000 + k)
+        adjacency = rng.random((k, k)) < 0.3
+        np.fill_diagonal(adjacency, True)
+        graph = NominalGraph(adjacency)
+        probs = EdgeProbabilityTable.uniform(graph, 0.1, 0.9, rng)
+        pmf = Pmf(0.5 * rng.dirichlet(np.ones(k)) + 0.5 / k)
+        losses = rng.random(k)
+        for check in ip_estimator_checks(graph, probs, pmf, losses, 200_000, rng):
+            assert check.passed(4.0), check.describe()

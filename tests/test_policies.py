@@ -15,6 +15,7 @@ from graphbandit.estimator import Pmf, WeightVector, _normalized, sample_index
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
 from graphbandit.oracles import resampling_checks
 from graphbandit.policies import (
+    ALGORITHMS,
     LearnerConfig,
     ProbabilityEstimatorState,
     ResampleBuffer,
@@ -444,12 +445,22 @@ class TestLearnerProtocol:
             learner.update(FeedbackEvent(1, pick, ((non_edge, 0.5),), 0.5))
         assert learner.weights.log_weights.tolist() == [0.0, 0.0, 0.0]
 
-    def test_static_graph_enforced_for_uninformative(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_static_graph_enforced(self, algorithm):
         g = NominalGraph.complete(3)
-        other = NominalGraph.bandit(3)
-        learner = make_learner(LearnerConfig("exp3-up", FixedEta(0.3), min_observations=1), g)
-        with pytest.raises(ProtocolError):
-            learner.select(1, other)
+        probs = constant_table(g, 0.5) if algorithm == "exp3-ip" else None
+
+        def fresh():
+            return make_learner(LearnerConfig(algorithm, FixedEta(0.3), min_observations=2), g, probs=probs)
+
+        for other in (NominalGraph.bandit(3), NominalGraph.complete(4)):
+            with pytest.raises(ProtocolError, match="static"):
+                fresh().select(1, other)
+            # The forced-exploration block of run_episode makes the same check.
+            with pytest.raises(ProtocolError, match="static"):
+                run_episode(fresh(), StochasticGapAdversary(gap=0.2), other, constant_table(other, 0.5), 10, seed=3)
+        assert fresh().select(1) in (1, 2, 3)
+        assert fresh().select(1, NominalGraph.complete(3)) in (1, 2, 3)  # an equal graph is the same graph
 
 
 class TestLearnerBehavior:
@@ -709,9 +720,19 @@ class TestSnapshotValidation:
             ("exp3-up", lambda extra: set_sums(extra, -1), "sums"),
             ("exp3-gr", lambda extra: set_first_sample(extra, 2), "buffers"),
             ("exp3-gr", lambda extra: set_first_sample(extra, -1), "buffers"),
+            ("exp3-up", lambda extra: extra.update(explore_cursor=9), "explore_cursor"),
+            ("exp3-gr", lambda extra: extra.update(explore_cursor=4), "explore_cursor"),
+            ("exp3-up", lambda extra: extra.update(explore_cursor=-1), "explore_cursor"),
+            ("exp3-gr", lambda extra: extra.update(explore_cursor=-1), "explore_cursor"),
+            ("exp3-up", lambda extra: extra.update(min_observations=0), "min_observations"),
+            ("exp3-gr", lambda extra: extra.update(min_observations=0), "min_observations"),
+            ("exp3-up", lambda extra: extra["explore_counts"].__setitem__(0, -14), "explore_counts"),
+            ("exp3-gr", lambda extra: extra["explore_counts"].__setitem__(0, -14), "explore_counts"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
-             "sums-negative", "ring-sample-2", "ring-sample-negative"],
+             "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
+             "up-cursor-negative", "gr-cursor-negative", "up-floor-zero", "gr-floor-zero",
+             "up-explore-negative", "gr-explore-negative"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
