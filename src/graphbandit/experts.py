@@ -161,15 +161,18 @@ def _distance_blocks(kind: str, a: np.ndarray, b: np.ndarray):
         yield rows, d
 
 
-def _exp_kernel(kind: str, sigma: float, d: np.ndarray) -> np.ndarray:
+def _exp_kernel(kind: str, sigma: float, d: np.ndarray, dmax: float) -> np.ndarray:
     """The RBF exp(-d / (2 sigma^2)) or Laplacian exp(-d / sigma) of the
-    distances ``d``.  numpy's exp takes a slow path on every result that
-    underflows to 0, so arguments holding any below ``_EXP_UNDERFLOW`` skip
-    those lanes into zeros, with the same bits.  Other arguments take plain
-    exp, as the masked call costs half again as much there (18 vs 12 ms per
-    bandwidth on dataset-k9, one thread of a 2-core Xeon)."""
-    args = d / -(2 * sigma**2 if kind == "rbf" else sigma)
-    if args.min(initial=0.0) < _EXP_UNDERFLOW:  # a NaN makes the min NaN: plain path
+    distances ``d``, whose ``d.max(initial=0.0)`` is ``dmax``.  numpy's exp
+    takes a slow path on every result that underflows to 0, so arguments
+    holding any below ``_EXP_UNDERFLOW`` skip those lanes into zeros, with
+    the same bits.  Other arguments take plain exp, as the masked call costs
+    half again as much there (18 vs 12 ms per bandwidth on dataset-k9, one
+    thread of a 2-core Xeon).  Division by a positive scale rounds
+    monotonically, so ``dmax`` gives the smallest argument without a scan."""
+    scale = 2 * sigma**2 if kind == "rbf" else sigma
+    args = d / -scale
+    if dmax / -scale < _EXP_UNDERFLOW:  # a NaN distance makes dmax NaN: plain path
         return np.exp(args, out=np.zeros_like(args), where=args > _EXP_UNDERFLOW)
     return np.exp(args, out=args)
 
@@ -188,8 +191,9 @@ def _predict_pool(pool, x: np.ndarray) -> np.ndarray:
             predictions[i] = model.predict(x)
     for (kind, _), members in groups.items():
         for rows, d in _distance_blocks(kind, x, pool[members[0]].train_features):
+            dmax = d.max(initial=0.0)
             for i in members:
-                predictions[i, rows] = _exp_kernel(kind, pool[i].bandwidth, d) @ pool[i].coef
+                predictions[i, rows] = _exp_kernel(kind, pool[i].bandwidth, d, dmax) @ pool[i].coef
     return predictions
 
 
@@ -325,9 +329,10 @@ def _fit_kernel_ridges(kind: str, bandwidths, x: np.ndarray, y: np.ndarray, ridg
     """One kernel ridge model per bandwidth on the training rows ``x``; the
     distance matrix is built once and the models share ``x``."""
     dist = np.vstack([d for _, d in _distance_blocks(kind, x, x)])
+    dmax = dist.max(initial=0.0)
     models = []
     for bandwidth in bandwidths:
-        gram = _exp_kernel(kind, bandwidth, dist)
+        gram = _exp_kernel(kind, bandwidth, dist, dmax)
         coef = np.linalg.solve(gram + ridge * np.eye(len(x)), y)
         models.append(KernelRidgeExpert(kind=kind, bandwidth=bandwidth, train_features=x, coef=coef))
     return models

@@ -11,24 +11,33 @@ chunks and compare the sample means against the closed-form expectations:
 The batch paths reuse the same kernels the per-round learners call
 (observation probabilities, the pmf sampler, the resampling trial kernel),
 so a failing check indicts the production code, not a reimplementation.
+
+A chunk's random arrays are drawn and used ``_TRIAL_BLOCK`` repetitions at a
+time, each region of its stream read through a generator copy at the
+region's offset: the results and the caller's final generator state are
+those of whole-chunk arrays.  Memory is bounded by one block, plus one
+value per repetition of a chunk, not by ``draws``; on a one-expert graph
+the ip checks hold a whole chunk's (chunk, 1) arrays, to keep their sums.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Pmf, sample_positions
+from .estimator import Pmf, _skip_doubles, sample_positions
 from .graph import EdgeProbabilityTable, NominalGraph
 from .policies import _resample_trials, observation_probs
 
 __all__ = ["MomentCheck", "ip_estimator_checks", "resampling_checks", "default_suite"]
 
-# Repetitions per resampling-kernel call; the kernel's (n, M) temporaries
-# stay small while a chunk's uniforms are drawn in one piece.
-_TRIAL_BLOCK = 16_384
+# Repetitions drawn and used per block.  From 4,096 up, glibc returned a
+# block's arrays to the OS after each block (7x the page faults of
+# whole-chunk arrays, ~15% slower); at 2,048 the heap reuses them.
+_TRIAL_BLOCK = 2_048
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,22 @@ def _moment(name: str, total: float, total_sq: float, n: int, expected: float) -
     return MomentCheck(name=name, observed=mean, expected=expected, stderr=math.sqrt(var / n), draws=n)
 
 
+def _require_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _readers(rng: np.random.Generator, *sizes: int) -> list[np.random.Generator]:
+    """A copy of ``rng`` at the start of each of the consecutive regions of
+    ``sizes`` doubles in its stream; ``rng`` moves past them all."""
+    readers = []
+    for size in sizes:
+        readers.append(copy.deepcopy(rng))
+        _skip_doubles(rng, size)
+    return readers
+
+
 def ip_estimator_checks(
     graph: NominalGraph,
     probs: EdgeProbabilityTable,
@@ -79,33 +104,35 @@ def ip_estimator_checks(
     independently, and importance-weights every observed loss by its exact
     observation probability.  Returns first- and second-moment checks per arm.
     """
+    _require_positive(draws=draws, chunk=chunk)
     losses = np.asarray(losses, dtype=float)
     k = graph.num_experts
     if losses.shape != (k,):
         raise ValueError(f"need {k} losses, got shape {losses.shape}")
     q = observation_probs(pmf, graph, probs)
     ratio = losses / q
-    sums = np.zeros(k)
-    sums_sq = np.zeros(k)
-    sums_4 = np.zeros(k)
+    sums = np.zeros((3, k))  # est, est^2, est^4
+    # A (rows, 1) column sums pairwise, which a carried partial cannot continue.
+    block = _TRIAL_BLOCK if k > 1 else chunk
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
-        chosen = sample_positions(pmf, rng, m)
-        fired = rng.random((m, k)) < probs.probs[chosen]
-        observed = fired & graph.adjacency[chosen]
-        est = observed * ratio
-        sums += est.sum(axis=0)
-        est *= est
-        sums_sq += est.sum(axis=0)
-        est *= est
-        sums_4 += est.sum(axis=0)
+        (choices,) = _readers(rng, m)  # rng moves on to the activations
+        part = np.empty((3, k))  # each row's sum over the chunk, carried across blocks in row order
+        for lo in range(0, m, block):
+            n = min(block, m - lo)
+            chosen = sample_positions(pmf, choices, n)
+            est = ((rng.random((n, k)) < probs.probs[chosen]) & graph.adjacency[chosen]) * ratio
+            est_sq = est * est
+            for row, power in zip(part, (est, est_sq, est_sq * est_sq)):
+                row[:] = np.add.reduce(np.concatenate([row[None], power]) if lo else power)
+        sums += part
         done += m
     checks = []
     for i in range(k):
-        checks.append(_moment(f"mean estimate, arm {i + 1}", sums[i], sums_sq[i], draws, losses[i]))
+        checks.append(_moment(f"mean estimate, arm {i + 1}", sums[0, i], sums[1, i], draws, losses[i]))
         expected_second = losses[i] ** 2 / q[i]
-        checks.append(_moment(f"second moment, arm {i + 1}", sums_sq[i], sums_4[i], draws, expected_second))
+        checks.append(_moment(f"second moment, arm {i + 1}", sums[1, i], sums[2, i], draws, expected_second))
     return checks
 
 
@@ -125,20 +152,23 @@ def resampling_checks(
     """
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
+    _require_positive(draws=draws, chunk=chunk, window=window)
     cum = np.array([1.0])  # point-mass selection on the single expert
     sum_q = sum_q2 = 0.0
     sum_l = sum_l2 = 0.0
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
-        windows = (rng.random((m, window)) < q).astype(np.uint8)
-        uniforms = rng.random((m, window))
-        keys = rng.random((m, window))
+        size = m * window
+        windows, uniforms, keys = _readers(rng, size, size, size)  # rng moves on to the observed draws
         trials = np.empty(m)
         for lo in range(0, m, _TRIAL_BLOCK):
-            block = slice(lo, lo + _TRIAL_BLOCK)
-            row_of = np.arange(keys[block].shape[0])[:, None]  # repetition i reads window row i
-            trials[block] = _resample_trials(cum, uniforms[block], row_of, keys[block], windows[block])
+            n = min(_TRIAL_BLOCK, m - lo)
+            samples = (windows.random((n, window)) < q).astype(np.uint8)
+            row_of = np.arange(n)[:, None]  # repetition i reads window row i
+            trials[lo : lo + n] = _resample_trials(
+                cum, uniforms.random((n, window)), row_of, keys.random((n, window)), samples
+            )
         observed = rng.random(m) < q
         est = trials * loss * observed
         sum_q += trials.sum()

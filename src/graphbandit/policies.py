@@ -980,6 +980,10 @@ class _UninformativeBase(_LearnerBase):
     def _apply_epoch_params(self) -> None:
         raise NotImplementedError
 
+    def _epoch_eta(self, epoch: int) -> float:
+        """The doubling schedule's learning rate in ``epoch``."""
+        raise NotImplementedError
+
     def _restart(self, eta: float, min_observations: int) -> None:
         """Epoch restart: reset weights to uniform and raise the sample floor;
         existing counters/buffers are retained, so the exploration loop only
@@ -1000,8 +1004,22 @@ class _UninformativeBase(_LearnerBase):
     def _restore_base_extra(self, extra: dict) -> None:
         self._explore_counts = _snapshot_array(extra, "explore_counts", (self._k,), bounds=(0, math.inf))
         self._explore_cursor = int(_snapshot_array(extra, "explore_cursor", (), bounds=(0, self._k - 1)))
-        self._epoch = extra["epoch"] if extra["epoch"] is None else int(extra["epoch"])
-        self._eta_value = extra["eta_value"]
+        epoch, eta = extra["epoch"], extra["eta_value"]
+        first = self._epoch  # a fresh learner's: None, or the doubling schedule's first epoch
+        if (epoch is None) != (first is None):
+            raise ValueError("snapshot field 'epoch' must be null exactly when the schedule is not doubling")
+        if epoch is not None and not (type(epoch) is int and epoch >= first):
+            raise ValueError(f"snapshot field 'epoch' must be an integer >= {first}, got {epoch!r}")
+        if (eta is None) != (epoch is None):
+            raise ValueError("snapshot field 'eta_value' must be null exactly when 'epoch' is")
+        if epoch is not None:
+            try:
+                expected = self._epoch_eta(epoch)
+            except OverflowError:
+                raise ValueError(f"snapshot field 'epoch' is out of range, got {epoch}") from None
+            if eta != expected:  # NaN fails
+                raise ValueError(f"snapshot field 'eta_value' must be {expected!r} at epoch {epoch}, got {eta!r}")
+        self._epoch, self._eta_value = epoch, eta
         self._set_floor(int(_snapshot_array(extra, "min_observations", (), bounds=(1, math.inf))))
 
 
@@ -1033,6 +1051,9 @@ class Exp3UP(_UninformativeBase):
     def _set_floor(self, min_observations: int) -> None:
         super()._set_floor(min_observations)
         self._state._track(self._min_obs, self._xi / math.sqrt(self._min_obs))
+
+    def _epoch_eta(self, epoch: int) -> float:
+        return up_doubling_params(epoch, self._k)[0]
 
     def _apply_epoch_params(self) -> None:
         eta, min_obs, xi = up_doubling_params(self._epoch, self._k)
@@ -1090,6 +1111,9 @@ class Exp3GR(_UninformativeBase):
     @property
     def buffers(self) -> ResampleBuffer:
         return self._buffers
+
+    def _epoch_eta(self, epoch: int) -> float:
+        return gr_doubling_params(epoch, self._k, len(self._dominating), self.config.epsilon)[0]
 
     def _apply_epoch_params(self) -> None:
         eta, min_obs = gr_doubling_params(self._epoch, self._k, len(self._dominating), self.config.epsilon)

@@ -46,7 +46,7 @@ def kernel_matrix(kind, sigma, a, b):
     ``b``: its distance blocks through its exp kernel."""
     out = np.empty((len(a), len(b)))
     for rows, d in _distance_blocks(kind, a, b):
-        out[rows] = _exp_kernel(kind, sigma, d)
+        out[rows] = _exp_kernel(kind, sigma, d, d.max(initial=0.0))
     return out
 
 
@@ -103,7 +103,7 @@ class TestKernelMatrix:
         ((_, d),) = _distance_blocks("rbf", a, b)
         args = d / -(2 * 0.01**2)
         assert args.min() < -746 < args.max()
-        kernel = _exp_kernel("rbf", 0.01, d)
+        kernel = _exp_kernel("rbf", 0.01, d, d.max(initial=0.0))
         assert np.array_equal(kernel, np.exp(args))
         assert kernel[-1, 0] == 0.0 and kernel[0, 0] == 1.0
 

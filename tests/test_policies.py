@@ -683,9 +683,15 @@ class TestSnapshots:
 
 
 def snapshot_payload(algorithm, k=4, rounds=40):
+    """A learner's snapshot after ``rounds`` rounds, as a dict; an algorithm
+    name ending in ``+doubling`` runs the doubling schedule."""
+    algorithm, _, doubling = algorithm.partition("+")
     g = NominalGraph.complete(k)
     probs = constant_table(g, 0.5)
-    config = LearnerConfig(algorithm, InverseSqrtEta(), min_observations=3)
+    if doubling:
+        config = LearnerConfig(algorithm, DoublingSchedule(), min_observations=3, epsilon=0.5)
+    else:
+        config = LearnerConfig(algorithm, InverseSqrtEta(), min_observations=3)
     learner = make_learner(config, g, probs=probs if algorithm == "exp3-ip" else None, seed=5)
     drive(learner, g, probs, np.linspace(0.1, 0.9, k), rounds)
     return json.loads(learner.snapshot())
@@ -728,11 +734,30 @@ class TestSnapshotValidation:
             ("exp3-gr", lambda extra: extra.update(min_observations=0), "min_observations"),
             ("exp3-up", lambda extra: extra["explore_counts"].__setitem__(0, -14), "explore_counts"),
             ("exp3-gr", lambda extra: extra["explore_counts"].__setitem__(0, -14), "explore_counts"),
+            ("exp3-up+doubling", lambda extra: extra.update(epoch=-3), "epoch"),
+            ("exp3-gr+doubling", lambda extra: extra.update(epoch=-3), "epoch"),
+            ("exp3-up+doubling", lambda extra: extra.update(epoch=1), "epoch"),  # up_start_epoch(4) is 2
+            ("exp3-gr+doubling", lambda extra: extra.update(epoch=2.5), "epoch"),
+            ("exp3-up+doubling", lambda extra: extra.update(epoch=None, eta_value=None), "epoch"),
+            ("exp3-gr", lambda extra: extra.update(epoch=3, eta_value=0.5), "epoch"),
+            ("exp3-up+doubling", lambda extra: extra.update(eta_value=2.0), "eta_value"),
+            ("exp3-gr+doubling", lambda extra: extra.update(eta_value=2.0), "eta_value"),
+            ("exp3-up+doubling", lambda extra: extra.update(eta_value=math.nan), "eta_value"),
+            ("exp3-gr+doubling", lambda extra: extra.update(eta_value=math.nan), "eta_value"),
+            ("exp3-gr+doubling", lambda extra: extra.update(eta_value=-0.1), "eta_value"),
+            ("exp3-gr+doubling", lambda extra: extra.update(eta_value=None), "eta_value"),
+            ("exp3-up", lambda extra: extra.update(eta_value=0.5), "eta_value"),
+            ("exp3-gr+doubling", lambda extra: extra.update(eta_value=0.5), "eta_value"),  # in [0, 1], off schedule
+            ("exp3-up+doubling", lambda extra: extra.update(epoch=5000), "epoch"),  # 2.0 ** 5001 overflows
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
              "up-cursor-negative", "gr-cursor-negative", "up-floor-zero", "gr-floor-zero",
-             "up-explore-negative", "gr-explore-negative"],
+             "up-explore-negative", "gr-explore-negative", "up-epoch-negative", "gr-epoch-negative",
+             "up-epoch-before-start", "gr-epoch-fractional", "up-epoch-null-under-doubling",
+             "gr-epoch-without-doubling", "up-eta-above-1", "gr-eta-above-1", "up-eta-nan", "gr-eta-nan",
+             "gr-eta-negative", "gr-eta-null-with-epoch", "up-eta-without-epoch", "gr-eta-off-schedule",
+             "up-epoch-overflow"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
@@ -740,7 +765,16 @@ class TestSnapshotValidation:
         with pytest.raises(ValueError, match=f"'{field}'"):
             load_snapshot(json.dumps(payload), NominalGraph.complete(4))
 
-    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr", "exp3-up+doubling", "exp3-gr+doubling"])
     def test_untampered_snapshot_text_round_trips(self, algorithm):
         text = json.dumps(snapshot_payload(algorithm))
         assert load_snapshot(text, NominalGraph.complete(4)).snapshot() == text
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    @pytest.mark.parametrize("k", [8, 50])
+    @pytest.mark.parametrize("algorithm", ["exp3-up+doubling", "exp3-gr+doubling"])
+    def test_early_doubling_snapshot_round_trips_at_large_k(self, algorithm, k, rounds):
+        # exp3-gr's epoch-0 learning rate, sqrt(ln K / 2), is above 1 from K = 8 on.
+        payload = snapshot_payload(algorithm, k=k, rounds=rounds)
+        text = json.dumps(payload)
+        assert load_snapshot(text, NominalGraph.complete(k)).snapshot() == text
