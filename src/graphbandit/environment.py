@@ -10,13 +10,14 @@ consume identical learner streams.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, IngestError
+from .estimator import _skip_doubles
 from .experts import _csv_rows
 from .graph import EdgeProbabilityTable, NominalGraph
 
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 LOSS_STREAM, FEEDBACK_STREAM, LEARNER_STREAM, PROBS_STREAM = range(4)
+
+# Doubles an episode draws from its feedback stream at a time: 32 KB.
+_FEED_BLOCK = 4_096
 
 
 def substream(seed, key: int) -> np.random.Generator:
@@ -192,25 +196,54 @@ def _fire(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kernel behind ``realize_feedback``, one uniform drawn per out-edge
     of ``chosen``: the ascending 0-based positions that fire, and the hit
-    mask over ``chosen``'s out-positions they were read from.  ``_fire_run``
-    draws the masks of many rounds at once."""
+    mask over ``chosen``'s out-positions they were read from.  ``run_episode``
+    draws the same values through ``_Feedback``."""
     out = graph.out_positions[chosen - 1]
     hits = rng.random(out.size) < probs.probs[chosen - 1, out]
     return out[hits], hits
 
 
-def _fire_run(graph: NominalGraph, probs: EdgeProbabilityTable, picks: np.ndarray, rng: np.random.Generator):
-    """``_fire``'s hit masks for rounds that choose the 1-based ``picks`` in
-    turn, concatenated, and where each round's mask starts.  One draw gives
-    the values, and the generator state, of one ``_fire`` call per round:
-    ``Generator.random`` does not depend on how its output is chunked."""
-    degree = graph.adjacency.sum(axis=1)
-    lengths = degree[picks - 1]
-    starts = np.cumsum(lengths) - lengths
-    # Row-major edge ids: a source's out-edges are a contiguous range, targets ascending.
-    first_edge = np.cumsum(degree) - degree
-    edges = np.arange(lengths.sum()) + np.repeat(first_edge[picks - 1] - starts, lengths)
-    return rng.random(edges.size) < probs.probs[graph.adjacency][edges], starts
+class _Feedback:
+    """An episode's activations: the values, and with ``close`` the final
+    ``rng`` state, of one ``_fire`` call per round, as ``Generator.random``
+    does not depend on how its output is chunked.  A copy of ``rng`` draws
+    ``_FEED_BLOCK`` doubles at a time; ``close`` moves ``rng`` past those
+    used.  Edges are in row-major order: a source's are contiguous."""
+
+    def __init__(self, graph: NominalGraph, probs: EdgeProbabilityTable, rng: np.random.Generator):
+        self._rng, self._reader = rng, copy.deepcopy(rng)
+        self._block, self._pos, self._drawn = np.empty(0), 0, 0
+        self._out = graph.out_positions
+        self._degree = graph.adjacency.sum(axis=1)
+        self._first_edge = np.cumsum(self._degree) - self._degree
+        self._edge_probs = probs.probs[graph.adjacency]
+        self._rows = np.split(self._edge_probs, self._first_edge[1:])
+
+    def _take(self, n: int) -> np.ndarray:
+        lo = self._pos
+        if lo + n > self._block.size:  # the unread rest, then a block, or as much as a long run needs
+            rest = self._block[lo:]
+            fresh = self._reader.random(max(_FEED_BLOCK, n - rest.size))
+            self._block, lo, self._drawn = np.concatenate((rest, fresh)), 0, self._drawn + fresh.size
+        self._pos = lo + n
+        return self._block[lo : lo + n]
+
+    def fire(self, chosen: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_fire(graph, probs, chosen, rng)``."""
+        out = self._out[chosen - 1]
+        hits = self._take(out.size) < self._rows[chosen - 1]
+        return out[hits], hits
+
+    def fire_run(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_fire``'s hit masks for rounds that choose the 1-based ``picks``
+        in turn, concatenated, and where each round's mask starts."""
+        lengths = self._degree[picks - 1]
+        starts = np.cumsum(lengths) - lengths
+        edges = np.arange(lengths.sum()) + np.repeat(self._first_edge[picks - 1] - starts, lengths)
+        return self._take(edges.size) < self._edge_probs[edges], starts
+
+    def close(self) -> None:
+        _skip_doubles(self._rng, self._drawn - (self._block.size - self._pos))
 
 
 def _event(t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> FeedbackEvent:
@@ -230,18 +263,19 @@ def run_episode(
     on the static ``graph``, the one the learner was built with.
     Deterministic given the seed.
 
-    The loss table is checked once, before round 1.  The learners of this
-    package take each round's feedback as arrays (``_observe``: the round,
-    the chosen index, the fired positions, their losses and the hit mask over
-    the chosen expert's out-positions); any other object with
-    ``select``/``update`` gets a ``FeedbackEvent``, as from
-    ``realize_feedback``.
+    The loss table is checked once, before round 1; that check stands for
+    the learners' per-round loss-range checks (see ``estimator``).  The
+    learners of this package take each round's feedback as arrays
+    (``_observe``: the round, the chosen index, the fired positions, their
+    losses and the hit mask over the chosen expert's out-positions); any
+    other object with ``select``/``update`` gets a ``FeedbackEvent``, as
+    from ``realize_feedback``.  The activations come from ``_Feedback``.
 
     exp3-up and exp3-gr play each run of forced-exploration rounds as one
     block (``_explore_run``), until the deficit is paid, the doubling epoch
     ends or the horizon: choices as ``select`` makes them, one draw of the
-    activations (``_fire_run``), one record per explored expert.  Forced
-    rounds leave the weights and the learner's generator alone, so
+    activations (``_Feedback.fire_run``), one record per explored expert.
+    Forced rounds leave the weights and the learner's generator alone, so
     everything ends as with one round at a time.
     """
     if horizon < 1:
@@ -258,19 +292,19 @@ def run_episode(
 
     observe = getattr(learner, "_observe", None)
     explore = getattr(learner, "_explore_run", None)
-    fire_run = partial(_fire_run, graph, probs, rng=feedback_rng)
+    feedback = _Feedback(graph, probs, feedback_rng)
     chosen = np.empty(horizon, dtype=np.int64)
     t = 1
     while t <= horizon:
         if explore is not None:
-            picks = explore(t, horizon, graph, fire_run)
+            picks = explore(t, horizon, graph, feedback.fire_run)
             if picks.size:
                 chosen[t - 1 : t - 1 + picks.size] = picks
                 t += picks.size
                 continue
         pick = learner.select(t, graph)
         _check_chosen(graph, pick)
-        fired, hits = _fire(graph, probs, pick, feedback_rng)
+        fired, hits = feedback.fire(pick)
         losses = table[t - 1]
         if observe is not None:
             observe(t, pick, fired, losses[fired], hits)
@@ -278,6 +312,7 @@ def run_episode(
             learner.update(_event(t, pick, fired, losses))
         chosen[t - 1] = pick
         t += 1
+    feedback.close()
     incurred = table[np.arange(horizon), chosen - 1]
     return RunTrace(incurred=incurred, chosen=chosen, loss_table=table, seed=seed)
 

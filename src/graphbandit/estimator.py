@@ -6,7 +6,14 @@ Each concept has one private kernel on plain arrays (``_normalized``,
 The learners call the kernels; the public classes and functions are views
 of them.  Each check costs O(1) numpy reductions.  A sum is finite when
 every entry is (unless finite entries overflow it), so the entry-wise
-finiteness scan runs only when the sum is not."""
+finiteness scan runs only when the sum is not.
+
+A learner-round checks each fact once.  On ``run_episode``'s path the loss
+table is checked before round 1, so the estimate kernels check only q > 0
+(exp3-gr: the trial counts); the learner's weight step and pmf build check
+one sum each, and hand anything else to ``_exp_weight_step`` or
+``_normalized``, which raise.  On ``update``'s path the estimate kernels
+also check every loss, in feedback order (``policies._LearnerBase._observe``)."""
 
 from __future__ import annotations
 
@@ -143,11 +150,12 @@ def importance_loss_estimate(loss: float, q: float, observed: bool) -> float:
     return float(_importance_estimates(np.array([loss]), np.array([q]))[0])
 
 
-def _importance_estimates(losses: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _importance_estimates(losses: np.ndarray, q: np.ndarray, losses_checked: bool = False) -> np.ndarray:
     """losses / q for a round's observed losses, each against its own
     observation probability.  Checked in order, loss before q: the first
-    loss outside [0, 1] or q <= 0 raises."""
-    if losses.size and not (losses.min() >= 0 and losses.max() <= 1 and q.min() > 0):  # NaN fails
+    loss outside [0, 1] or q <= 0 raises.  With ``losses_checked`` (losses
+    read from a table checked before round 1) only q is checked."""
+    if losses.size and not (q.min() > 0 and (losses_checked or 0 <= losses.min() <= losses.max() <= 1)):  # NaN fails
         bad_loss = ~((losses >= 0) & (losses <= 1))
         i = (bad_loss | ~(q > 0)).argmax()
         if bad_loss[i]:

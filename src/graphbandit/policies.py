@@ -30,7 +30,7 @@ import numpy as np
 from .environment import FeedbackEvent
 from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError
 from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
-from .estimator import _softmax
+from .estimator import PMF_TOLERANCE, _softmax
 
 # Public views of the kernels above, kept importable from this module, where
 # perfbench/tracer.py looks them up; the learners call the kernels.
@@ -578,12 +578,13 @@ def geometric_resample(
     return int(_resample_targets(pmf.probs.cumsum(), buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
-def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None) -> np.ndarray:
+def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None, losses_checked=False) -> np.ndarray:
     """trials * losses for a round's observed losses.  Checked in order,
     loss before trial count: the first loss outside [0, 1] or count outside
-    [1, cap] raises."""
+    [1, cap] raises.  With ``losses_checked`` only the counts are checked."""
     if losses.size and not (
-        losses.min() >= 0 and losses.max() <= 1 and trials.min() >= 1 and (cap is None or trials.max() <= cap)
+        trials.min() >= 1 and (cap is None or trials.max() <= cap)
+        and (losses_checked or 0 <= losses.min() <= losses.max() <= 1)
     ):  # NaN fails
         bad_loss = ~((losses >= 0) & (losses <= 1))
         bad_count = trials < 1 if cap is None else (trials < 1) | (trials > cap)
@@ -679,9 +680,13 @@ class _LearnerBase:
         order, those losses, and the hit mask over ``chosen``'s
         out-positions that ``environment._fire`` drew them from.
         ``run_episode`` calls this directly.  ``hits`` is None when the
-        feedback came through ``update``: nothing checked it before round 1,
-        so the learner checks what ``_fire`` and the loss-table check
-        guarantee (``_hits``, ``Exp3._apply``)."""
+        feedback came through ``update``.  Where each check runs:
+
+        * losses in [0, 1]: ``run_episode``'s table check before round 1;
+          from ``update``, the estimate kernels (and ``Exp3._apply``);
+        * activations on out-edges only: ``environment._Feedback``; from ``update``, ``_hits``;
+        * q > 0 and trial counts in [1, M]: the estimate kernels, both paths;
+        * finite estimates and weights: ``_exp_update``'s one sum, both paths."""
         self._apply(chosen, fired, losses, hits, self._pending[2])
         self._pending = None
         self._round = t
@@ -698,19 +703,29 @@ class _LearnerBase:
 
     def _sample(self, mixed: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Normalize the round's selection vector and draw from it: returns
-        the 1-based choice, the pmf and its running sum."""
+        the 1-based choice, the pmf and its running sum.  The mixing kernels
+        write no negative entry and no -0.0, so a sum within the tolerance of
+        1 is ``_normalized``'s divisor; any other sum goes to ``_normalized``."""
         self._mixed = mixed
-        probs = _normalized(mixed)
+        total = mixed.sum()
+        probs = mixed / total if abs(total - 1.0) <= PMF_TOLERANCE else _normalized(mixed)
         cum = _cdf(probs)
         return int(_invert_cdf(cum, self._rng.random())) + 1, probs, cum
 
     def _exp_update(self, eta: float, fired: np.ndarray, values: np.ndarray) -> None:
         """Exponential-weights step with the estimates ``values`` at ``fired``
-        and 0 elsewhere; a zero rate leaves the weights as they are."""
-        if eta > 0:
-            estimates = np.zeros(self._k)
-            estimates[fired] = values
-            self._log_weights = _exp_weight_step(self._log_weights, eta, estimates)
+        and 0 elsewhere, which leave lw as it is (lw - eta * 0.0 is lw); a
+        zero rate leaves every weight.  One sum checks the result; when it is
+        not finite, ``_exp_weight_step`` takes the step and raises what it
+        raises.  The estimates are >= 0 and the rate is in [0, 1]."""
+        if eta > 0 and fired.size:
+            log_weights = self._log_weights.copy()
+            log_weights[fired] -= eta * values
+            if not math.isfinite(log_weights.sum()):
+                estimates = np.zeros(self._k)
+                estimates[fired] = values
+                log_weights = _exp_weight_step(self._log_weights, eta, estimates)  # canonical: max is 0.0
+            self._log_weights = log_weights - log_weights.max()
 
     def _hits(self, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
         """The round's hit mask over ``chosen``'s out-positions.  Feedback
@@ -822,8 +837,10 @@ class Exp3IP(_LearnerBase):
 
     def _apply(self, chosen, fired, losses, hits, extras):
         pmf, eta = extras
+        if not fired.size and self._doubling is None:
+            return  # nothing observed: every step below is a no-op
         q = pmf @ self._table.masked
-        values = _importance_estimates(losses, q[fired])
+        values = _importance_estimates(losses, q[fired], hits is not None)
         self._hits(chosen, fired, hits)  # after the loss check, as in exp3-up and exp3-gr
         self._exp_update(eta, fired, values)
         if self._doubling is not None:
@@ -838,8 +855,15 @@ class Exp3IP(_LearnerBase):
 
     def _restore_extra(self, extra):
         d = extra.get("doubling")
+        if (d is None) != (self._doubling is None):
+            raise ValueError("snapshot field 'doubling' must be null exactly when the schedule is not doubling")
         if d is not None:
-            self._doubling = DoublingState(epoch=int(d["epoch"]), accumulated=float(d["accumulated"]))
+            epoch, accumulated = d["epoch"], float(d["accumulated"])
+            if not (type(epoch) is int and 0 <= epoch < 1023):  # 2.0 ** (epoch + 1) in _eta must not overflow
+                raise ValueError(f"snapshot field 'epoch' must be an integer in [0, 1023), got {epoch!r}")
+            if not 0 <= accumulated <= 2.0**epoch:  # NaN fails
+                raise ValueError(f"snapshot field 'accumulated' must lie in [0, 2^epoch], got {accumulated!r}")
+            self._doubling = DoublingState(epoch, accumulated)
 
 
 class Exp3Dom(Exp3IP):
@@ -933,8 +957,8 @@ class _UninformativeBase(_LearnerBase):
         """Play the forced rounds from round ``t`` on, up to the deficit, the
         end of the doubling epoch and ``horizon``, as one block; returns
         their 1-based choices (none when round t is not forced).  Each is
-        chosen as ``select(t, graph)`` would; ``fire`` is
-        ``environment._fire_run`` for the block, and each source's rows are
+        chosen as ``select(t, graph)`` would; ``fire`` is the episode's
+        ``environment._Feedback.fire_run``, and each source's rows are
         recorded in one call."""
         if not self._deficit and (self._epoch is None or t <= 2 ** (self._epoch + 1)):
             return _NO_CHOICES  # no round owed and no restart due to raise the floor
@@ -962,7 +986,7 @@ class _UninformativeBase(_LearnerBase):
             self._store._record(chosen - 1, self._hits(chosen, fired, hits))
             self._explored(chosen)
             return
-        values = self._estimates(fired, losses, extras)
+        values = self._estimates(fired, losses, extras, hits is not None)
         # Recorded after estimating, so the round's estimates read only earlier rounds.
         self._store._record(chosen - 1, self._hits(chosen, fired, hits))
         self._exp_update(extras[2], fired, values)
@@ -1064,11 +1088,11 @@ class Exp3UP(_UninformativeBase):
     def _store(self):
         return self._state
 
-    def _estimates(self, fired, losses, extras):
+    def _estimates(self, fired, losses, extras, losses_checked):
         state = self._state
         if state._short:  # no in-edge can be short once every edge holds M samples
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
-        return _importance_estimates(losses, (extras[0] * state._divisors[fired]).sum(axis=-1))
+        return _importance_estimates(losses, (extras[0] * state._divisors[fired]).sum(axis=-1), losses_checked)
 
     def _extra_state(self):
         extra = self._base_extra()
@@ -1103,6 +1127,8 @@ class Exp3GR(_UninformativeBase):
         if isinstance(config.schedule, DoublingSchedule):
             if config.epsilon is None:
                 raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
+            if self._k < 2:
+                raise ConfigError("exp3-gr with the doubling schedule needs K >= 2 (ln K must be positive)")
             self._epoch = 0
             self._eta_value, min_obs = gr_doubling_params(0, self._k, len(self._dominating), config.epsilon)
             self._set_floor(min_obs)
@@ -1124,9 +1150,9 @@ class Exp3GR(_UninformativeBase):
     def _store(self):
         return self._buffers
 
-    def _estimates(self, fired, losses, extras):
+    def _estimates(self, fired, losses, extras, losses_checked):
         trials = _resample_targets(extras[1], self._buffers, fired, self._min_obs, self._rng)
-        return _resampled_estimates(losses, trials, self._min_obs)
+        return _resampled_estimates(losses, trials, self._min_obs, losses_checked)
 
     def _extra_state(self):
         extra = self._base_extra()

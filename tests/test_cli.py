@@ -118,11 +118,13 @@ SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
         (["oracle", "--draws", "10", "--seed", "-1"], "--seed >= 0"),
         (["dataset", "--algo", "exp3", "--data", "{short}", "--target", "y"],
          "training prefix has 4 rows; need at least 10"),
+        (["simulate", "--algo", "exp3-gr", "--K", "1", "--T", "10", "--runs", "1", "--uninformative",
+          "--schedule", "doubling", "--epsilon", "0.5"], "the doubling schedule needs K >= 2"),
     ],
     ids=["gap-nonnumeric", "gap-zero", "switching-period-zero", "switching-period-nonnumeric", "k-zero",
          "missing-graph-file", "missing-table-csv", "missing-data-csv", "simulate-negative-seed",
          "dataset-negative-seed", "oracle-zero-draws", "oracle-negative-draws", "oracle-negative-seed",
-         "dataset-short-training-prefix"],
+         "dataset-short-training-prefix", "gr-doubling-one-expert"],
 )
 def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, args, reason):
     missing = str(tmp_path / "missing.txt")

@@ -705,6 +705,17 @@ def set_sums(extra, value):
     extra["sums"][0][0] = value
 
 
+def set_doubling(extra, **fields):
+    extra["doubling"].update(fields)
+
+
+def load_on_k4(payload):
+    """load_snapshot on the complete K=4 graph of ``snapshot_payload``."""
+    g = NominalGraph.complete(4)
+    probs = constant_table(g, 0.5) if payload["algorithm"] == "exp3-ip" else None
+    return load_snapshot(json.dumps(payload), g, probs=probs)
+
+
 class TestSnapshotValidation:
     """load_snapshot rejects a snapshot that does not fit the graph, naming the field."""
 
@@ -749,6 +760,19 @@ class TestSnapshotValidation:
             ("exp3-up", lambda extra: extra.update(eta_value=0.5), "eta_value"),
             ("exp3-gr+doubling", lambda extra: extra.update(eta_value=0.5), "eta_value"),  # in [0, 1], off schedule
             ("exp3-up+doubling", lambda extra: extra.update(epoch=5000), "epoch"),  # 2.0 ** 5001 overflows
+            ("exp3-ip", lambda extra: extra.update(doubling={"epoch": 1, "accumulated": 2.0}), "doubling"),
+            ("exp3", lambda extra: extra.update(doubling={"epoch": 0, "accumulated": 0.0}), "doubling"),
+            ("exp3-ip+doubling", lambda extra: extra.update(doubling=None), "doubling"),
+            ("exp3-dom+doubling", lambda extra: extra.update(doubling=None), "doubling"),
+            ("exp3-ip+doubling", lambda extra: set_doubling(extra, epoch=-3), "epoch"),
+            ("exp3+doubling", lambda extra: set_doubling(extra, epoch=-1), "epoch"),
+            ("exp3-dom+doubling", lambda extra: set_doubling(extra, epoch=1.7), "epoch"),
+            ("exp3-ip+doubling", lambda extra: set_doubling(extra, epoch=5000), "epoch"),  # 2.0 ** 5001 overflows
+            ("exp3-ip+doubling", lambda extra: set_doubling(extra, accumulated=math.nan), "accumulated"),
+            ("exp3+doubling", lambda extra: set_doubling(extra, accumulated=-0.5), "accumulated"),
+            ("exp3-dom+doubling", lambda extra: set_doubling(extra, accumulated=math.inf), "accumulated"),
+            ("exp3-ip+doubling", lambda extra: set_doubling(extra, accumulated=2.0 ** extra["doubling"]["epoch"] + 1),
+             "accumulated"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -757,18 +781,32 @@ class TestSnapshotValidation:
              "up-epoch-before-start", "gr-epoch-fractional", "up-epoch-null-under-doubling",
              "gr-epoch-without-doubling", "up-eta-above-1", "gr-eta-above-1", "up-eta-nan", "gr-eta-nan",
              "gr-eta-negative", "gr-eta-null-with-epoch", "up-eta-without-epoch", "gr-eta-off-schedule",
-             "up-epoch-overflow"],
+             "up-epoch-overflow", "ip-doubling-without-schedule", "exp3-doubling-without-schedule",
+             "ip-doubling-null-under-doubling", "dom-doubling-null-under-doubling", "ip-epoch-negative",
+             "exp3-epoch-negative", "dom-epoch-fractional", "ip-epoch-overflow", "ip-accumulated-nan",
+             "exp3-accumulated-negative", "dom-accumulated-inf", "ip-accumulated-above-bound"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
         tamper(payload["extra"])
         with pytest.raises(ValueError, match=f"'{field}'"):
-            load_snapshot(json.dumps(payload), NominalGraph.complete(4))
+            load_on_k4(payload)
 
-    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr", "exp3-up+doubling", "exp3-gr+doubling"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["exp3-up", "exp3-gr", "exp3-up+doubling", "exp3-gr+doubling", "exp3", "exp3-dom", "exp3-ip",
+         "exp3+doubling", "exp3-dom+doubling", "exp3-ip+doubling"],
+    )
     def test_untampered_snapshot_text_round_trips(self, algorithm):
-        text = json.dumps(snapshot_payload(algorithm))
-        assert load_snapshot(text, NominalGraph.complete(4)).snapshot() == text
+        payload = snapshot_payload(algorithm)
+        assert load_on_k4(payload).snapshot() == json.dumps(payload)
+
+    @pytest.mark.parametrize("algorithm", ["exp3", "exp3-dom", "exp3-ip"])
+    def test_doubling_state_survives_the_round_trip(self, algorithm):
+        payload = snapshot_payload(f"{algorithm}+doubling", rounds=60)
+        state = load_on_k4(payload)._doubling
+        assert state.epoch == payload["extra"]["doubling"]["epoch"] > 0
+        assert 0 < state.accumulated <= 2.0**state.epoch
 
     @pytest.mark.parametrize("rounds", [0, 1, 2])
     @pytest.mark.parametrize("k", [8, 50])
