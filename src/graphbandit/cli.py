@@ -55,18 +55,13 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_prob_generator(text: str) -> tuple:
-    if text.startswith("equal:"):
-        try:
-            return ("equal", float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"bad probability spec {text!r}") from exc
-    if text.startswith("uniform:"):
-        body = text.split(":", 1)[1]
-        parts = body.split(",")
-        if len(parts) != 2:
+    kind, colon, body = text.partition(":")
+    values = body.split(",") if kind == "uniform" else [body]
+    if colon and kind in ("equal", "uniform"):
+        if len(values) != 2 and kind == "uniform":
             raise ConfigError(f"uniform needs two values, got {text!r}")
         try:
-            return ("uniform", float(parts[0]), float(parts[1]))
+            return (kind, *[float(value) for value in values])
         except ValueError as exc:
             raise ConfigError(f"bad probability spec {text!r}") from exc
     raise ConfigError(f"bad probability spec {text!r}; expected equal:<v> or uniform:<lo>,<hi>")
@@ -93,14 +88,10 @@ def _resolve_graph(args, num_experts: int | None):
     """Graph plus any probabilities carried by a graph file."""
     if num_experts is not None and num_experts < 1:
         raise ConfigError(f"--K must be >= 1, got {num_experts}")
-    if args.graph == "complete":
+    if args.graph in ("complete", "bandit"):
         if num_experts is None:
-            raise ConfigError("--graph complete needs --K")
-        return NominalGraph.complete(num_experts), None
-    if args.graph == "bandit":
-        if num_experts is None:
-            raise ConfigError("--graph bandit needs --K")
-        return NominalGraph.bandit(num_experts), None
+            raise ConfigError(f"--graph {args.graph} needs --K")
+        return (NominalGraph.complete if args.graph == "complete" else NominalGraph.bandit)(num_experts), None
     return load_graph_file(args.graph)
 
 

@@ -11,6 +11,7 @@ consume identical learner streams.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,8 @@ LOSS_STREAM, FEEDBACK_STREAM, LEARNER_STREAM, PROBS_STREAM = range(4)
 
 # Doubles an episode draws from its feedback stream at a time: 32 KB.
 _FEED_BLOCK = 4_096
+# Doubles of a loss table drawn, or summed (``harness``), at a time: 256 KB.
+_TABLE_BLOCK = 1 << 15
 
 
 def substream(seed, key: int) -> np.random.Generator:
@@ -84,7 +87,7 @@ class FixedTableAdversary:
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 2:
             raise ValueError(f"loss table must be 2-d, got shape {table.shape}")
-        if not np.isfinite(table).all() or (table < 0).any() or (table > 1).any():
+        if table.size and not (table.min() >= 0 and table.max() <= 1):  # NaN fails both
             raise ValueError("losses must lie in [0, 1]")
         object.__setattr__(self, "table", table)
 
@@ -134,9 +137,7 @@ class StochasticGapAdversary:
     def materialize(self, horizon: int, num_experts: int, rng: np.random.Generator) -> np.ndarray:
         if not 1 <= self.best_arm <= num_experts:
             raise ValueError(f"best arm {self.best_arm} out of range 1..{num_experts}")
-        means = np.full(num_experts, self.base)
-        means[self.best_arm - 1] = self.base - self.gap
-        return (rng.random((horizon, num_experts)) < means).astype(float)
+        return _gap_table(rng, horizon, num_experts, self.base, self.gap, lambda rows: self.best_arm - 1)
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,21 @@ class SwitchingAdversary:
             raise ValueError(f"period must be >= 1, got {self.period}")
 
     def materialize(self, horizon: int, num_experts: int, rng: np.random.Generator) -> np.ndarray:
-        blocks = np.arange(horizon) // self.period
-        best = blocks % num_experts
-        means = np.full((horizon, num_experts), self.base)
-        means[np.arange(horizon), best] = self.base - self.gap
-        return (rng.random((horizon, num_experts)) < means).astype(float)
+        return _gap_table(rng, horizon, num_experts, self.base, self.gap, lambda r: r // self.period % num_experts)
+
+
+def _gap_table(rng, horizon: int, num_experts: int, base: float, gap: float, best) -> np.ndarray:
+    """``(rng.random((horizon, num_experts)) < means).astype(float)`` for means ``base``, less ``gap``
+    in column ``best(rows)``, drawn ``_TABLE_BLOCK`` doubles at a time into one buffer: as
+    ``Generator.random`` does not depend on chunking, the table and ``rng``'s final state are the same."""
+    table, step = np.empty((horizon, num_experts)), max(1, _TABLE_BLOCK // num_experts)
+    buffer = np.empty(step * num_experts)
+    for lo in range(0, horizon, step):
+        rows = np.arange(lo, min(lo + step, horizon))
+        u = rng.random(out=buffer[: rows.size * num_experts]).reshape(rows.size, num_experts)
+        np.less(u, base, out=table[lo : lo + rows.size])
+        table[rows, best(rows)] = u[rows - lo, best(rows)] < base - gap
+    return table
 
 
 def realize_feedback(
@@ -278,6 +289,7 @@ def run_episode(
     Forced rounds leave the weights and the learner's generator alone, so
     everything ends as with one round at a time.
     """
+    horizon = operator.index(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     loss_rng = substream(seed, LOSS_STREAM)
@@ -287,7 +299,7 @@ def run_episode(
     table = np.asarray(table, dtype=float)
     if table.shape != (horizon, graph.num_experts):
         raise ContractError(f"adversary produced shape {table.shape}, expected {(horizon, graph.num_experts)}")
-    if not np.isfinite(table).all() or (table < 0).any() or (table > 1).any():
+    if not (table.min() >= 0 and table.max() <= 1):  # NaN fails both
         raise ContractError("adversary produced losses outside [0, 1] or non-finite")
 
     observe = getattr(learner, "_observe", None)

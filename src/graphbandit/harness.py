@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import PROBS_STREAM, FixedTableAdversary, run_episode, substream
+from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, run_episode, substream
 from .errors import ConfigError
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
@@ -185,23 +185,36 @@ def _execute_job(job) -> tuple[int, str, np.ndarray, str]:
     cfg, run, algorithm, probs = job
     horizon = cfg.effective_horizon
     checkpoints = checkpoint_rounds(horizon)
-    adversary = cfg.adversary
-    if adversary is None:
-        adversary = FixedTableAdversary(cfg.bundle.loss_table[:horizon])
+    adversary = cfg.adversary if cfg.bundle is None else FixedTableAdversary(cfg.bundle.loss_table[:horizon])
     learner_probs = probs if algorithm == "exp3-ip" else None
     learner = make_learner(_learner_config(cfg, algorithm), cfg.graph, probs=learner_probs, seed=0)
     trace = run_episode(learner, adversary, cfg.graph, probs, horizon, seed=(cfg.seed, run))
-    digest = hashlib.sha256(trace.loss_table.tobytes()).hexdigest()
+    digest = hashlib.sha256(np.ascontiguousarray(trace.loss_table)).hexdigest()
 
     if cfg.metric == "regret":
-        cum_incurred = np.cumsum(trace.incurred)
-        cum_experts = np.cumsum(trace.loss_table, axis=0)
-        values = cum_incurred[checkpoints - 1] - cum_experts[checkpoints - 1].min(axis=1)
+        expert_sums = _checkpoint_sums(trace.loss_table, checkpoints)
+        values = np.cumsum(trace.incurred)[checkpoints - 1] - expert_sums.min(axis=1)
     else:
         picked = cfg.bundle.predictions[trace.chosen - 1, np.arange(horizon)]
         cum_sq = np.cumsum((picked - cfg.bundle.truths[:horizon]) ** 2)
         values = cum_sq[checkpoints - 1] / checkpoints
     return run, algorithm, values, digest
+
+
+def _checkpoint_sums(table: np.ndarray, checkpoints: np.ndarray) -> np.ndarray:
+    """``np.cumsum(table, axis=0)[checkpoints - 1]``, accumulated ``_TABLE_BLOCK`` doubles at a
+    time in one buffer, each block's first row plus the last sums of the block before."""
+    step = max(1, _TABLE_BLOCK // table.shape[1])
+    buffer, sums, carry = np.empty((step, table.shape[1])), [], None
+    for lo in range(0, table.shape[0], step):
+        block = buffer[: min(step, table.shape[0] - lo)]
+        np.copyto(block, table[lo : lo + step])
+        if carry is not None:  # the first block gets no zero carry: -0.0 + 0.0 is +0.0
+            block[0] += carry
+        np.add.accumulate(block, axis=0, out=block)
+        carry = block[-1].copy()
+        sums.append(block[checkpoints[(checkpoints > lo) & (checkpoints <= lo + step)] - 1 - lo])
+    return np.concatenate(sums)
 
 
 def _max_workers() -> int:

@@ -992,13 +992,9 @@ class _UninformativeBase(_LearnerBase):
         self._exp_update(extras[2], fired, values)
 
     def _advance_epochs(self, t: int) -> None:
-        if self._epoch is None:
-            return
-        advanced = False
-        while t > 2 ** (self._epoch + 1):
-            self._epoch += 1
-            advanced = True
-        if advanced:
+        if self._epoch is not None and t > 2 ** (self._epoch + 1):
+            while t > 2 ** (self._epoch + 1):
+                self._epoch += 1
             self._apply_epoch_params()
 
     def _apply_epoch_params(self) -> None:
@@ -1095,15 +1091,9 @@ class Exp3UP(_UninformativeBase):
         return _importance_estimates(losses, (extras[0] * state._divisors[fired]).sum(axis=-1), losses_checked)
 
     def _extra_state(self):
-        extra = self._base_extra()
-        extra.update(
-            {
-                "counts": self._state.counts.tolist(),
-                "sums": self._state.sums.tolist(),
-                "confidence_width": self._xi,
-            }
-        )
-        return extra
+        state = self._state
+        return {**self._base_extra(), "counts": state.counts.tolist(), "sums": state.sums.tolist(),
+                "confidence_width": self._xi}
 
     def _restore_extra(self, extra):
         counts, sums = (_snapshot_array(extra, name, (self._k, self._k)) for name in ("counts", "sums"))
@@ -1155,14 +1145,7 @@ class Exp3GR(_UninformativeBase):
         return _resampled_estimates(losses, trials, self._min_obs, losses_checked)
 
     def _extra_state(self):
-        extra = self._base_extra()
-        extra.update(
-            {
-                "capacity": self._buffers.capacity,
-                "buffers": self._buffers.samples(),
-            }
-        )
-        return extra
+        return {**self._base_extra(), "capacity": self._buffers.capacity, "buffers": self._buffers.samples()}
 
     def _restore_extra(self, extra):
         self._restore_base_extra(extra)
