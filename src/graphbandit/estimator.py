@@ -36,6 +36,13 @@ __all__ = [
 PMF_TOLERANCE = 1e-9
 # Values drawn per discarded block by ``_skip_doubles`` on a generator without ``advance``.
 _SKIP_BLOCK = 65_536
+# The ufunc reductions the round kernels call directly: ``a.sum()``,
+# ``a.min()``, ``a.max()`` and ``a.cumsum()`` run the same loops (so give the
+# same bits on a 1-d array) behind a Python-level wrapper.
+_sum = np.add.reduce
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_cumsum = np.add.accumulate
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def _canonical(log_weights: np.ndarray) -> np.ndarray:
 def _softmax(log_weights: np.ndarray) -> np.ndarray:
     """exp(log_weights) / sum: the distribution of canonical log-weights."""
     e = np.exp(log_weights)
-    return e / e.sum()
+    return e / _sum(e)
 
 
 def exp_weight_update(weights: WeightVector, eta: float, loss_estimates) -> WeightVector:
@@ -155,7 +162,7 @@ def _importance_estimates(losses: np.ndarray, q: np.ndarray, losses_checked: boo
     observation probability.  Checked in order, loss before q: the first
     loss outside [0, 1] or q <= 0 raises.  With ``losses_checked`` (losses
     read from a table checked before round 1) only q is checked."""
-    if losses.size and not (q.min() > 0 and (losses_checked or 0 <= losses.min() <= losses.max() <= 1)):  # NaN fails
+    if losses.size and not (_min(q) > 0 and (losses_checked or 0 <= _min(losses) <= _max(losses) <= 1)):  # NaN fails
         bad_loss = ~((losses >= 0) & (losses <= 1))
         i = (bad_loss | ~(q > 0)).argmax()
         if bad_loss[i]:
@@ -201,7 +208,7 @@ def _skip_doubles(rng: np.random.Generator, n: int) -> None:
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
     """The running sum of a pmf vector; raises when it is all zero."""
-    cum = probs.cumsum()
+    cum = _cumsum(probs)
     if cum[-1] <= 0:
         raise InvariantError("degenerate all-zero pmf")
     return cum

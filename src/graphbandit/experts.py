@@ -392,9 +392,10 @@ def build_dataset_bundle(dataset: Dataset, pool) -> DatasetBundle:
         raise ValueError("no evaluation rows after the training prefix")
     predictions = _predict_pool(pool, x)
     squared = (predictions - y[None, :]) ** 2
+    np.clip(squared, 0.0, 1.0, out=squared)
     return DatasetBundle(
         predictions=predictions,
         truths=y,
-        loss_table=np.clip(squared, 0.0, 1.0).T,
+        loss_table=np.ascontiguousarray(squared.T),  # (T, K) in C order: the harness hashes it and reads it by row
         expert_names=tuple(model.describe() for model in pool),
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .environment import FeedbackEvent
 from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError
 from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
-from .estimator import PMF_TOLERANCE, _softmax
+from .estimator import PMF_TOLERANCE, _cumsum, _max, _min, _softmax, _sum
 
 # Public views of the kernels above, kept importable from this module, where
 # perfbench/tracer.py looks them up; the learners call the kernels.
@@ -325,6 +325,11 @@ class ResampleBuffer:
     are a contiguous range of ids, targets ascending.  The buffer counts the
     edges whose rings are not yet full, so a window check costs O(1) once
     every ring is.
+
+    Four tables built once per graph lay out resampling: target j's block
+    size (a draw row, then one row per in-edge, sources ascending) and, at
+    (j, d) for its trials that draw expert d, the block row of edge (d, j),
+    the edge read (the self-loop stands in for a non-edge) and the in-edge mask.
     """
 
     def __init__(self, graph: NominalGraph, capacity: int):
@@ -339,15 +344,10 @@ class ResampleBuffer:
         self._edge_id[self._sources, self._targets] = np.arange(num_edges)
         bounds = np.searchsorted(self._sources, np.arange(graph.num_experts + 1)).tolist()
         self._out_edges = tuple((slice(lo, hi), np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]))
-        # Resampling block layout per target: column 0 is its draw row, column
-        # 1 + d its in-edge from d.  The draw row carries the target's own
-        # self-loop, an in-edge it always has.
-        k = graph.num_experts
-        self._layout_mask = np.ones((k, k + 1), dtype=bool)
-        self._layout_mask[:, 1:] = adjacency.T
-        self._layout_edge = np.empty((k, k + 1), dtype=np.int64)
-        self._layout_edge[:, 0] = self._edge_id.diagonal()
-        self._layout_edge[:, 1:] = self._edge_id.T
+        self._in_edge = np.ascontiguousarray(adjacency.T)
+        self._block_size = 1 + self._in_edge.sum(axis=1)
+        self._block_row = np.where(self._in_edge, self._in_edge.cumsum(axis=1), 0)
+        self._trial_edge = np.where(self._in_edge, self._edge_id.T, self._edge_id.diagonal()[:, None])
         self._ring = np.zeros((num_edges, 0), dtype=np.uint8)
         # Samples written per edge since the ring last held them oldest-first
         # from column 0; min(written, capacity) of them are held.
@@ -423,18 +423,6 @@ class ResampleBuffer:
         self._capacity = int(new_capacity)
         self._count_short()
 
-    def resample_layout(self, targets0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of one resampling block for the 0-based ``targets0``: each
-        target takes a draw row, then one row per in-edge, sources ascending.
-
-        Returns the (n, K+1) mask of the rows each target takes (column 0 its
-        draw row, column 1 + d its in-edge from d) and the edge id behind
-        every row in block order.  A draw row is given the target's
-        self-loop, so the windows of all rows span only the targets' in-edges.
-        """
-        mask = self._layout_mask[targets0]
-        return mask, self._layout_edge[targets0][mask]
-
     def edge_matrix(self, edges: np.ndarray, window: int) -> np.ndarray:
         """The last ``window`` samples of each edge id in ``edges``, oldest
         first, stacked as a (len(edges), window) 0/1 matrix.  Raises while
@@ -456,6 +444,14 @@ class ResampleBuffer:
                     f"needs {window}"
                 )
         return written
+
+    def _check_targets(self, targets0: np.ndarray, window: int) -> None:
+        """Raise while an in-edge of the 0-based ``targets0`` holds fewer than
+        ``window`` samples, naming the first in block order: each target's
+        self-loop, then its in-edges by ascending source."""
+        if self._short or window > self._capacity:
+            edges = np.column_stack((self._trial_edge[targets0, targets0], self._trial_edge[targets0]))
+            self._full_windows(edges.ravel(), window)
 
     def _window_samples(self, edges, written, window: int, slots) -> np.ndarray:
         """Sample ``slots`` (0 = oldest) of the last ``window`` of each edge
@@ -492,39 +488,29 @@ class ResampleBuffer:
         return buffers
 
 
-def _trial_slots(
-    cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where each resampling trial looks: one (row, slot) per trial.
-
-    Row i of the (n, M) ``uniforms`` draws the experts of trials 1..M by
-    inverting ``cum``, the running sum of the selection pmf.  Each window
-    row holds M buffered activation samples, and ``keys`` holds M uniforms
-    per window row; their argsort is that row's fresh permutation.
-    ``row_of[i, d]`` is the window row of the edge from expert d into row
-    i's target, or -1 when d is not an in-neighbour.  Trial u of row i reads
-    its draw's window row at the slot the permutation puts at position u,
-    and succeeds when that sample shows an activation (``_first_success``).
-    """
-    n, m = uniforms.shape
-    draws = _invert_cdf(cum, uniforms)
-    rows = row_of[np.arange(n)[:, None], draws]
-    return rows, np.argsort(keys, axis=-1)[rows, np.arange(m)]
+def _trial_slots(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The slot each resampling trial reads: the argsort of a window row's M
+    ``keys`` is its fresh permutation, and trial u of the (n, M) ``rows``
+    reads its row at the slot the permutation puts at position u."""
+    return keys.argsort(axis=-1)[rows, np.arange(keys.shape[1])]
 
 
 def _resample_trials(
     cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray, windows: np.ndarray
 ) -> np.ndarray:
-    """Capped first-success trial counts (see ``_trial_slots``) when the
-    window rows are given whole, as the (rows, M) 0/1 matrix ``windows``."""
-    rows, slots = _trial_slots(cum, uniforms, row_of, keys)
-    return _first_success(rows, windows[rows, slots])
+    """Capped first-success trial counts from whole window rows, the (rows,
+    M) 0/1 ``windows``: row i of the (n, M) ``uniforms`` draws trials 1..M's
+    experts from ``cum``, the pmf's running sum, and ``row_of[i, d]`` is the
+    window row of edge (d, row i's target), or -1 for a non-edge."""
+    rows = row_of[np.arange(uniforms.shape[0])[:, None], _invert_cdf(cum, uniforms)]
+    return _first_success(rows >= 0, windows[rows, _trial_slots(keys, rows)])  # a -1 row reads the last row
 
 
-def _first_success(rows: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def _first_success(in_edge: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Capped first-success trial counts: min(first successful trial, M)
-    per row, in [1, M], from the (n, M) trial rows and the samples read."""
-    hit = samples & (rows >= 0)  # a -1 row read the last row; masked here
+    per row, in [1, M], from the (n, M) samples the trials read and the mask
+    of the trials that drew an in-neighbour; the others' samples are masked."""
+    hit = samples & in_edge
     hit[:, -1] = 1  # no success in the first M-1 trials counts as M
     return hit.argmax(axis=1) + 1
 
@@ -543,14 +529,17 @@ def _resample_targets(
     """
     if targets0.size == 0:
         return np.zeros(0, dtype=np.int64)
-    mask, edges = buffers.resample_layout(targets0)
-    written = buffers._full_windows(edges, window)  # raises before any draw
-    block_row = mask.ravel().cumsum().reshape(mask.shape) - 1
-    uniforms = rng.random(edges.size * window).reshape(edges.size, window)
-    row_of = np.where(mask[:, 1:], block_row[:, 1:], -1)
-    rows, slots = _trial_slots(cum, uniforms[block_row[:, 0]], row_of, uniforms)
+    buffers._check_targets(targets0, window)  # before any draw
+    sizes = buffers._block_size[targets0]
+    ends = _cumsum(sizes)
+    starts = ends - sizes
+    uniforms = rng.random((int(ends[-1]), window))
+    cells = targets0[:, None] * buffers._graph.num_experts + _invert_cdf(cum, uniforms.take(starts, axis=0))
+    slots = _trial_slots(uniforms, starts[:, None] + buffers._block_row.take(cells))
+    edges = buffers._trial_edge.take(cells)
     # Only the samples the trials read are gathered, not whole windows.
-    return _first_success(rows, buffers._window_samples(edges[rows], written[rows], window, slots))
+    samples = buffers._window_samples(edges, buffers._written[edges], window, slots)
+    return _first_success(buffers._in_edge.take(cells), samples)
 
 
 def geometric_resample(
@@ -575,7 +564,7 @@ def geometric_resample(
         raise ValueError("min_observations must be >= 1")
     if buffers.graph != graph:
         raise ValueError("the buffers belong to a different graph")
-    return int(_resample_targets(pmf.probs.cumsum(), buffers, np.array([i - 1]), min_observations, rng)[0])
+    return int(_resample_targets(_cumsum(pmf.probs), buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
 def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None, losses_checked=False) -> np.ndarray:
@@ -583,8 +572,8 @@ def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None
     loss before trial count: the first loss outside [0, 1] or count outside
     [1, cap] raises.  With ``losses_checked`` only the counts are checked."""
     if losses.size and not (
-        trials.min() >= 1 and (cap is None or trials.max() <= cap)
-        and (losses_checked or 0 <= losses.min() <= losses.max() <= 1)
+        _min(trials) >= 1 and (cap is None or _max(trials) <= cap)
+        and (losses_checked or 0 <= _min(losses) <= _max(losses) <= 1)
     ):  # NaN fails
         bad_loss = ~((losses >= 0) & (losses <= 1))
         bad_count = trials < 1 if cap is None else (trials < 1) | (trials > cap)
@@ -707,7 +696,7 @@ class _LearnerBase:
         write no negative entry and no -0.0, so a sum within the tolerance of
         1 is ``_normalized``'s divisor; any other sum goes to ``_normalized``."""
         self._mixed = mixed
-        total = mixed.sum()
+        total = _sum(mixed)
         probs = mixed / total if abs(total - 1.0) <= PMF_TOLERANCE else _normalized(mixed)
         cum = _cdf(probs)
         return int(_invert_cdf(cum, self._rng.random())) + 1, probs, cum
@@ -721,11 +710,11 @@ class _LearnerBase:
         if eta > 0 and fired.size:
             log_weights = self._log_weights.copy()
             log_weights[fired] -= eta * values
-            if not math.isfinite(log_weights.sum()):
+            if not math.isfinite(_sum(log_weights)):
                 estimates = np.zeros(self._k)
                 estimates[fired] = values
                 log_weights = _exp_weight_step(self._log_weights, eta, estimates)  # canonical: max is 0.0
-            self._log_weights = log_weights - log_weights.max()
+            self._log_weights = log_weights - _max(log_weights)
 
     def _hits(self, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
         """The round's hit mask over ``chosen``'s out-positions.  Feedback
@@ -1088,7 +1077,7 @@ class Exp3UP(_UninformativeBase):
         state = self._state
         if state._short:  # no in-edge can be short once every edge holds M samples
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
-        return _importance_estimates(losses, (extras[0] * state._divisors[fired]).sum(axis=-1), losses_checked)
+        return _importance_estimates(losses, _sum(extras[0] * state._divisors[fired], axis=-1), losses_checked)
 
     def _extra_state(self):
         state = self._state
@@ -1149,7 +1138,10 @@ class Exp3GR(_UninformativeBase):
 
     def _restore_extra(self, extra):
         self._restore_base_extra(extra)
-        self._buffers = ResampleBuffer.from_samples(self._graph, int(extra["capacity"]), extra["buffers"])
+        capacity = extra["capacity"]
+        if capacity != self._min_obs:  # built at M, grown to M at each restart
+            raise ValueError(f"snapshot field 'capacity' must equal min_observations {self._min_obs}, got {capacity!r}")
+        self._buffers = ResampleBuffer.from_samples(self._graph, self._min_obs, extra["buffers"])
 
 
 _REGISTRY = {cls.algorithm: cls for cls in (Exp3, Exp3Dom, Exp3IP, Exp3UP, Exp3GR)}

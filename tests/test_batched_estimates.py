@@ -84,21 +84,46 @@ def generator_state(rng):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), m=st.integers(1, 40))
-def test_batched_resampling_matches_per_expert_calls(seed, k, m):
-    rng = np.random.default_rng(seed)
-    graph = random_digraph(rng, k)
-    capacity = m + int(rng.integers(0, 4))
-    buffers = ResampleBuffer(graph, capacity)
+GRAPH_KINDS = st.sampled_from(["random", "complete", "bandit"])
+
+
+def graph_of_kind(rng, kind, k):
+    if kind == "complete":
+        return NominalGraph.complete(k)
+    if kind == "bandit":
+        return NominalGraph.bandit(k)
+    return random_digraph(rng, k)
+
+
+def fill(rng, graph, buffers, picks):
+    """Record one random round per pick (0-based sources) in ``buffers``;
+    returns every edge's sample history, oldest first, and each source's pick count."""
+    k = graph.num_experts
     history = {(int(s), int(t)): [] for s, t in zip(*np.nonzero(graph.adjacency))}
-    # Every source is chosen at least M times, some far more, so rings wrap.
-    picks = np.concatenate([np.repeat(np.arange(k), m), rng.integers(0, k, size=int(rng.integers(0, 4 * m)))])
-    for chosen in rng.permutation(picks):
+    for chosen in picks:
         realized = (rng.random(k) < rng.uniform(0.05, 0.95)) & graph.adjacency[chosen]
         buffers.observe_row(int(chosen) + 1, realized)
         for t in np.flatnonzero(graph.adjacency[chosen]):
             history[(int(chosen), int(t))].append(int(realized[t]))
+    return history, np.bincount(np.asarray(picks, dtype=np.int64), minlength=k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), kind=GRAPH_KINDS, k=st.integers(1, 12), m=st.integers(1, 40),
+    spare=st.integers(0, 3), wrap=st.integers(0, 50),
+)
+def test_batched_resampling_matches_per_expert_calls(seed, kind, k, m, spare, wrap):
+    """Counts and generator state equal one reference call per target, for
+    windows below the capacity (``spare`` > 0) and rings that have wrapped
+    (a source chosen more than ``capacity`` times)."""
+    rng = np.random.default_rng(seed)
+    graph = graph_of_kind(rng, kind, k)
+    capacity = m + spare
+    buffers = ResampleBuffer(graph, capacity)
+    # Every source is chosen at least M times, each a further ``wrap`` times, some more.
+    picks = np.concatenate([np.repeat(np.arange(k), m + wrap), rng.integers(0, k, size=int(rng.integers(0, 4 * m)))])
+    history, _ = fill(rng, graph, buffers, rng.permutation(picks))
     pmf = Pmf(rng.dirichlet(np.ones(k)))
     targets = random_targets(rng, k)
 
@@ -109,6 +134,57 @@ def test_batched_resampling_matches_per_expert_calls(seed, k, m):
 
     assert batched.tolist() == sequential
     assert generator_state(batched_rng) == generator_state(sequential_rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=GRAPH_KINDS, k=st.integers(1, 12), m=st.integers(1, 6),
+       over=st.integers(0, 1))
+def test_underfull_ring_raises_before_any_draw(seed, kind, k, m, over):
+    """The first short edge in block order is named (each target's
+    self-loop, then its in-edges by ascending source), and the generator
+    is left as it was; a window above the capacity finds every ring short."""
+    rng = np.random.default_rng(seed)
+    graph = graph_of_kind(rng, kind, k)
+    buffers = ResampleBuffer(graph, m)
+    _, chosen = fill(rng, graph, buffers, rng.permutation(np.repeat(np.arange(k), rng.integers(0, m + 2, size=k))))
+    targets = random_targets(rng, k)
+    window = m + over
+    block_order = [(s, t) for t in targets.tolist() for s in [t, *np.flatnonzero(graph.adjacency[:, t]).tolist()]]
+    short = [(s, t) for s, t in block_order if min(chosen[s], m) < window]
+    pmf = Pmf(rng.dirichlet(np.ones(k)))
+    draw_rng = np.random.Generator(np.random.Philox(seed))
+    before = generator_state(draw_rng)
+    if not short:
+        assert _resample_targets(pmf.probs.cumsum(), buffers, targets, window, draw_rng).size == targets.size
+        return
+    s, t = short[0]
+    message = rf"^edge \({s + 1}, {t + 1}\) holds {min(chosen[s], m)} samples, needs {window}$"
+    with pytest.raises(PhaseOrderError, match=message):
+        _resample_targets(pmf.probs.cumsum(), buffers, targets, window, draw_rng)
+    assert generator_state(draw_rng) == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=GRAPH_KINDS, k=st.integers(1, 12))
+def test_per_graph_resampling_tables_match_a_build_from_the_adjacency(seed, kind, k):
+    graph = graph_of_kind(np.random.default_rng(seed), kind, k)
+    adjacency = graph.adjacency
+    buffers = ResampleBuffer(graph, 3)
+    edge_id = {}  # row-major order of the adjacency
+    for s in range(k):
+        for t in range(k):
+            if adjacency[s, t]:
+                edge_id[(s, t)] = len(edge_id)
+    for j in range(k):
+        sources = [d for d in range(k) if adjacency[d, j]]
+        assert buffers._block_size[j] == 1 + len(sources)  # the draw row, then one row per in-edge
+        for d in range(k):
+            assert buffers._in_edge[j, d] == adjacency[d, j]
+            if adjacency[d, j]:
+                assert buffers._block_row[j, d] == 1 + sources.index(d)
+                assert buffers._trial_edge[j, d] == edge_id[(d, j)]
+            else:  # the self-loop stands in; the in-edge mask hides what it reads
+                assert buffers._trial_edge[j, d] == edge_id[(j, j)]
 
 
 @settings(max_examples=80, deadline=None)

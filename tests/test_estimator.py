@@ -14,8 +14,8 @@ from graphbandit.estimator import (
     sample_index,
 )
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, greedy_dominating_set
-from graphbandit.oracles import ip_estimator_checks
-from graphbandit.policies import exp3ip_pmf
+from graphbandit.oracles import _moment, ip_estimator_checks
+from graphbandit.policies import _inflated_divisors, _resample_trials, exp3ip_pmf, observation_probs
 
 
 class TestPmf:
@@ -161,3 +161,70 @@ class TestEstimatePipelineMoments:
         losses = rng.random(k)
         for check in ip_estimator_checks(graph, probs, pmf, losses, 200_000, rng):
             assert check.passed(4.0), check.describe()
+
+
+def erdos_renyi(rng, k, density):
+    """G(K, density) with self-loops: each off-diagonal edge kept independently."""
+    adjacency = rng.random((k, k)) < density
+    np.fill_diagonal(adjacency, True)
+    return NominalGraph(adjacency)
+
+
+# (K, edge density, the one edge probability p), as in Kocak, Neu & Valko (2016).
+ERDOS_RENYI = [(4, 0.3, 0.2), (6, 0.5, 0.5), (8, 0.2, 0.8)]
+
+
+class TestErdosRenyiIdentities:
+    """The estimator identities on Erdos-Renyi graphs whose edges all fire
+    with one probability p, so q_j = p * (selection mass of j's in-neighbours)."""
+
+    @staticmethod
+    def inputs(k, density, p):
+        rng = np.random.default_rng(2000 + k)
+        graph = erdos_renyi(rng, k, density)
+        pmf = Pmf(0.5 * rng.dirichlet(np.ones(k)) + 0.5 / k)
+        return rng, graph, EdgeProbabilityTable.constant(graph, p), pmf
+
+    @pytest.mark.parametrize("k, density, p", ERDOS_RENYI)
+    def test_importance_estimates_unbiased(self, k, density, p):
+        rng, graph, probs, pmf = self.inputs(k, density, p)
+        for check in ip_estimator_checks(graph, probs, pmf, rng.random(k), 200_000, rng):
+            assert check.passed(4.0), check.describe()
+
+    @pytest.mark.parametrize("window", [5, 25])
+    @pytest.mark.parametrize("k, density, p", ERDOS_RENYI)
+    def test_capped_trial_count_mean(self, k, density, p, window):
+        """E[Q] = (1 - (1 - q)^M) / q per target, each repetition reading
+        fresh windows of M Bernoulli(p) samples per in-edge."""
+        rng, graph, probs, pmf = self.inputs(k, density, p)
+        q = observation_probs(pmf, graph, probs)
+        n = 10_000
+        for j in range(k):
+            sources = np.flatnonzero(graph.adjacency[:, j])
+            slot = np.full(k, -1)
+            slot[sources] = np.arange(sources.size)
+            row_of = np.where(slot >= 0, np.arange(n)[:, None] * sources.size + slot, -1)
+            windows = (rng.random((n * sources.size, window)) < p).astype(np.uint8)
+            keys = rng.random((n * sources.size, window))
+            trials = _resample_trials(np.cumsum(pmf.probs), rng.random((n, window)), row_of, keys, windows)
+            expected = (1 - (1 - q[j]) ** window) / q[j]
+            check = _moment(f"mean trial count, arm {j + 1}", trials.sum(), (trials * trials).sum(), n, expected)
+            assert check.passed(4.0), check.describe()
+
+    @pytest.mark.parametrize("samples", [5, 25])
+    @pytest.mark.parametrize("k, density, p", ERDOS_RENYI)
+    def test_inflated_estimate_dominates(self, k, density, p, samples):
+        """exp3-up's q-hat, from M samples per edge and inflation xi / sqrt(M),
+        falls below q with probability at most exp(-2 xi^2) (Hoeffding over
+        the pmf-weighted sample means), for every target."""
+        rng, graph, probs, pmf = self.inputs(k, density, p)
+        q = observation_probs(pmf, graph, probs)
+        xi, reps = 1.0, 2_000
+        below, raw_below = np.zeros(k), np.zeros(k)
+        for _ in range(reps):
+            phat = rng.binomial(samples, p, size=(k, k)) / samples
+            below += pmf.probs @ _inflated_divisors(graph.adjacency, phat, xi / math.sqrt(samples)).T < q
+            raw_below += pmf.probs @ _inflated_divisors(graph.adjacency, phat, 0.0).T < q
+        rate = math.exp(-2 * xi * xi)
+        assert (below / reps <= rate + 4 * math.sqrt(rate * (1 - rate) / reps)).all(), below / reps
+        assert (raw_below / reps > rate).all()  # the plain sample means do not dominate: the check can fail

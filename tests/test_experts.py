@@ -360,6 +360,14 @@ class TestBundle:
         assert bundle.loss_table.shape == (360, 9)
         assert (bundle.loss_table >= 0).all() and (bundle.loss_table <= 1).all()
 
+    def test_loss_table_is_one_c_ordered_array(self):
+        """The harness hashes the table and reads it by row: in C order, neither copies it."""
+        rng = np.random.default_rng(13)
+        data = synthetic_dataset(rng, rows=400)
+        bundle = build_dataset_bundle(data, train_expert_pool(data))
+        assert bundle.loss_table.flags.c_contiguous and bundle.loss_table.base is None
+        assert np.ascontiguousarray(bundle.loss_table) is bundle.loss_table
+
     def test_loss_table_matches_per_row_losses(self):
         rng = np.random.default_rng(15)
         data = synthetic_dataset(rng, rows=120)

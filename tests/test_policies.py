@@ -760,6 +760,9 @@ class TestSnapshotValidation:
             ("exp3-up", lambda extra: extra.update(eta_value=0.5), "eta_value"),
             ("exp3-gr+doubling", lambda extra: extra.update(eta_value=0.5), "eta_value"),  # in [0, 1], off schedule
             ("exp3-up+doubling", lambda extra: extra.update(epoch=5000), "epoch"),  # 2.0 ** 5001 overflows
+            ("exp3-gr", lambda extra: extra.update(capacity=2), "capacity"),  # every pmf round would raise
+            ("exp3-gr", lambda extra: extra.update(capacity=9), "capacity"),
+            ("exp3-gr+doubling", lambda extra: extra.update(capacity=extra["min_observations"] + 1), "capacity"),
             ("exp3-ip", lambda extra: extra.update(doubling={"epoch": 1, "accumulated": 2.0}), "doubling"),
             ("exp3", lambda extra: extra.update(doubling={"epoch": 0, "accumulated": 0.0}), "doubling"),
             ("exp3-ip+doubling", lambda extra: extra.update(doubling=None), "doubling"),
@@ -781,7 +784,8 @@ class TestSnapshotValidation:
              "up-epoch-before-start", "gr-epoch-fractional", "up-epoch-null-under-doubling",
              "gr-epoch-without-doubling", "up-eta-above-1", "gr-eta-above-1", "up-eta-nan", "gr-eta-nan",
              "gr-eta-negative", "gr-eta-null-with-epoch", "up-eta-without-epoch", "gr-eta-off-schedule",
-             "up-epoch-overflow", "ip-doubling-without-schedule", "exp3-doubling-without-schedule",
+             "up-epoch-overflow", "gr-capacity-below-floor", "gr-capacity-above-floor",
+             "gr-capacity-off-floor-under-doubling", "ip-doubling-without-schedule", "exp3-doubling-without-schedule",
              "ip-doubling-null-under-doubling", "dom-doubling-null-under-doubling", "ip-epoch-negative",
              "exp3-epoch-negative", "dom-epoch-fractional", "ip-epoch-overflow", "ip-accumulated-nan",
              "exp3-accumulated-negative", "dom-accumulated-inf", "ip-accumulated-above-bound"],
