@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -748,23 +749,38 @@ class _LearnerBase:
         }
         return json.dumps(payload)
 
-    def _extra_state(self) -> dict:
-        return {}
 
-    def _restore_extra(self, extra: dict) -> None:
-        pass
+# A snapshot field holding stored state: ``holder``'s int64 array (an int when
+# ``shape`` is ()) ``attribute``, within ``bounds``.
+_Stored = namedtuple("_Stored", "holder attribute shape bounds")
 
 
-def _snapshot_array(fields: dict, name: str, shape: tuple, dtype=np.int64, bounds=None) -> np.ndarray:
-    """The snapshot field ``name`` as an array; raises naming it unless of shape ``shape`` and within ``bounds``."""
+def _snapshot_field(fields, name: str):
+    """The snapshot field ``name``; raises ValueError naming it when missing."""
+    if not isinstance(fields, dict) or name not in fields:
+        raise ValueError(f"snapshot field {name!r} is missing")
+    return fields[name]
+
+
+def _snapshot_array(fields, name: str, shape: tuple, dtype=np.int64, bounds=None) -> np.ndarray:
+    """The snapshot field ``name`` as an array of ``dtype``; raises ValueError
+    naming it unless it is of shape ``shape``, holds JSON integers (numbers
+    for a float dtype) and lies within ``bounds``, whose upper end may name an
+    earlier-read field of ``fields``."""
+    value = _snapshot_field(fields, name)
     try:
-        values = np.array(fields[name], dtype=dtype)
+        values = np.array(value)
     except ValueError as exc:  # a ragged list
         raise ValueError(f"snapshot field {name!r}: {exc}") from None
     if values.shape != shape:
         raise ValueError(f"snapshot field {name!r} has shape {values.shape}, expected {shape}")
-    if bounds is not None and not ((values >= bounds[0]) & (values <= bounds[1])).all():
-        raise ValueError(f"snapshot field {name!r} must lie in [{bounds[0]}, {bounds[1]}]")
+    if values.dtype.kind not in ("i" if np.dtype(dtype).kind == "i" else "if"):  # bools, strings and nulls fail
+        raise ValueError(f"snapshot field {name!r} must hold {np.dtype(dtype)} values, got {values.dtype}")
+    values = values.astype(dtype)
+    if bounds is not None:
+        lo, hi = bounds
+        if not ((values >= lo) & (values <= (np.asarray(fields[hi]) if isinstance(hi, str) else hi))).all():
+            raise ValueError(f"snapshot field {name!r} must lie in [{lo}, {hi}]")
     return values
 
 
@@ -843,15 +859,12 @@ class Exp3IP(_LearnerBase):
         return {"doubling": {"epoch": self._doubling.epoch, "accumulated": self._doubling.accumulated}}
 
     def _restore_extra(self, extra):
-        d = extra.get("doubling")
+        d = _snapshot_field(extra, "doubling")
         if (d is None) != (self._doubling is None):
             raise ValueError("snapshot field 'doubling' must be null exactly when the schedule is not doubling")
         if d is not None:
-            epoch, accumulated = d["epoch"], float(d["accumulated"])
-            if not (type(epoch) is int and 0 <= epoch < 1023):  # 2.0 ** (epoch + 1) in _eta must not overflow
-                raise ValueError(f"snapshot field 'epoch' must be an integer in [0, 1023), got {epoch!r}")
-            if not 0 <= accumulated <= 2.0**epoch:  # NaN fails
-                raise ValueError(f"snapshot field 'accumulated' must lie in [0, 2^epoch], got {accumulated!r}")
+            epoch = int(_snapshot_array(d, "epoch", (), bounds=(0, 1022)))  # 2.0 ** (epoch + 1) must not overflow
+            accumulated = float(_snapshot_array(d, "accumulated", (), float, bounds=(0, 2.0**epoch)))  # NaN fails
             self._doubling = DoublingState(epoch, accumulated)
 
 
@@ -898,9 +911,8 @@ class _UninformativeBase(_LearnerBase):
         self._dom = _positions(self._dominating)
         self._explore_counts = np.zeros(self._k, dtype=np.int64)
         self._explore_cursor = 0
-        self._epoch: int | None = None
-        self._eta_value: float | None = None
-        self._set_floor(config.min_observations)
+        first = up_start_epoch(self._k) if self.algorithm == "exp3-up" else 0
+        self._enter_epoch(first if isinstance(config.schedule, DoublingSchedule) else None)
 
     @property
     def min_observations(self) -> int:
@@ -912,11 +924,26 @@ class _UninformativeBase(_LearnerBase):
             return self._eta_value
         return eta_at(self.config.schedule, t)
 
-    def _set_floor(self, min_observations: int) -> None:
-        """Set the per-expert sample floor M and recount the exploration
-        rounds still owed, sum over experts of max(M - count, 0)."""
-        self._min_obs = int(min_observations)
+    def _enter_epoch(self, epoch: int | None) -> None:
+        """Enter the doubling ``epoch`` (None without doubling) and set all
+        that follows from it and the config: the rate, the per-edge sample
+        floor M with the exploration rounds still owed (sum over experts of
+        max(M - count, 0)), exp3-up's xi and estimator inflation, and
+        exp3-gr's buffer capacity.  Counters and samples are kept, so a raised
+        floor only tops up the deficit.  Construction, ``_advance_epochs`` and
+        ``load_snapshot`` all set these here."""
+        config, up = self.config, self.algorithm == "exp3-up"
+        eta, floor, xi = None, config.min_observations, config.confidence_width
+        if epoch is not None and up:
+            eta, floor, xi = up_doubling_params(epoch, self._k)
+        elif epoch is not None:
+            eta, floor = gr_doubling_params(epoch, self._k, self._dom.size, config.epsilon)
+        self._epoch, self._eta_value, self._min_obs, self._xi = epoch, eta, int(floor), xi
         self._deficit = int(np.maximum(self._min_obs - self._explore_counts, 0).sum())
+        if up:
+            self._state._track(self._min_obs, xi / math.sqrt(self._min_obs))
+        else:
+            self._buffers.grow(self._min_obs)
 
     def _exploring(self) -> bool:
         return self._deficit > 0
@@ -981,55 +1008,51 @@ class _UninformativeBase(_LearnerBase):
         self._exp_update(extras[2], fired, values)
 
     def _advance_epochs(self, t: int) -> None:
+        """Restart when round ``t`` is past the epoch: enter the epoch that
+        holds it and reset the weights to uniform."""
         if self._epoch is not None and t > 2 ** (self._epoch + 1):
-            while t > 2 ** (self._epoch + 1):
-                self._epoch += 1
-            self._apply_epoch_params()
+            epoch = self._epoch
+            while t > 2 ** (epoch + 1):
+                epoch += 1
+            self._enter_epoch(epoch)
+            self._log_weights = np.zeros(self._k)
 
-    def _apply_epoch_params(self) -> None:
-        raise NotImplementedError
-
-    def _epoch_eta(self, epoch: int) -> float:
-        """The doubling schedule's learning rate in ``epoch``."""
-        raise NotImplementedError
-
-    def _restart(self, eta: float, min_observations: int) -> None:
-        """Epoch restart: reset weights to uniform and raise the sample floor;
-        existing counters/buffers are retained, so the exploration loop only
-        tops up the per-expert deficit."""
-        self._eta_value = eta
-        self._set_floor(min_observations)
-        self._log_weights = np.zeros(self._k)
-
-    def _base_extra(self) -> dict:
+    def _fields(self) -> dict:
+        """The snapshot's extra fields in order: stored state as ``_Stored``,
+        then the epoch and the values derived from it and the config."""
+        k = self._k
         return {
-            "explore_counts": self._explore_counts.tolist(),
-            "explore_cursor": self._explore_cursor,
+            "explore_counts": _Stored(self, "_explore_counts", (k,), (0, math.inf)),
+            "explore_cursor": _Stored(self, "_explore_cursor", (), (0, k - 1)),
             "epoch": self._epoch,
             "eta_value": self._eta_value,
             "min_observations": self._min_obs,
         }
 
-    def _restore_base_extra(self, extra: dict) -> None:
-        self._explore_counts = _snapshot_array(extra, "explore_counts", (self._k,), bounds=(0, math.inf))
-        self._explore_cursor = int(_snapshot_array(extra, "explore_cursor", (), bounds=(0, self._k - 1)))
-        epoch, eta = extra["epoch"], extra["eta_value"]
-        first = self._epoch  # a fresh learner's: None, or the doubling schedule's first epoch
-        if (epoch is None) != (first is None):
+    def _extra_state(self):
+        return {
+            name: np.asarray(getattr(spec.holder, spec.attribute)).tolist() if isinstance(spec, _Stored) else spec
+            for name, spec in self._fields().items()
+        }
+
+    def _restore_extra(self, extra):
+        """On this fresh learner: read the stored state, enter the snapshot's
+        epoch, and require each derived field to equal its recomputed value."""
+        for name, spec in self._fields().items():
+            if isinstance(spec, _Stored):
+                values = _snapshot_array(extra, name, spec.shape, bounds=spec.bounds)
+                setattr(spec.holder, spec.attribute, values if spec.shape else int(values))
+        first = self._epoch  # None, or the schedule's first epoch
+        if (_snapshot_field(extra, "epoch") is None) != (first is None):
             raise ValueError("snapshot field 'epoch' must be null exactly when the schedule is not doubling")
-        if epoch is not None and not (type(epoch) is int and epoch >= first):
-            raise ValueError(f"snapshot field 'epoch' must be an integer >= {first}, got {epoch!r}")
-        if (eta is None) != (epoch is None):
-            raise ValueError("snapshot field 'eta_value' must be null exactly when 'epoch' is")
-        if epoch is not None:
-            try:
-                expected = self._epoch_eta(epoch)
-            except OverflowError:
-                raise ValueError(f"snapshot field 'epoch' is out of range, got {epoch}") from None
-            if eta != expected:  # NaN fails
-                raise ValueError(f"snapshot field 'eta_value' must be {expected!r} at epoch {epoch}, got {eta!r}")
-        self._epoch, self._eta_value = epoch, eta
-        self._set_floor(int(_snapshot_array(extra, "min_observations", (), bounds=(1, math.inf))))
+        epoch = None if first is None else int(_snapshot_array(extra, "epoch", (), bounds=(first, math.inf)))
+        try:
+            self._enter_epoch(epoch)
+        except OverflowError:
+            raise ValueError(f"snapshot field 'epoch' is out of range, got {epoch}") from None
+        for name, value in self._fields().items():
+            if not (isinstance(value, _Stored) or _snapshot_field(extra, name) == value):  # NaN fails
+                raise ValueError(f"snapshot field {name!r} must be {value!r} at epoch {epoch}, got {extra[name]!r}")
 
 
 class Exp3UP(_UninformativeBase):
@@ -1040,14 +1063,8 @@ class Exp3UP(_UninformativeBase):
     algorithm = "exp3-up"
 
     def __init__(self, config, graph, probs=None, seed=0):
-        # Set first: the base constructor sets the floor, which tracks it on the state.
-        self._state = ProbabilityEstimatorState(graph)
-        self._xi = config.confidence_width
+        self._state = ProbabilityEstimatorState(graph)  # entering the first epoch tracks the floor on it
         super().__init__(config, graph, probs, seed)
-        if isinstance(config.schedule, DoublingSchedule):
-            self._epoch = up_start_epoch(self._k)
-            self._eta_value, min_obs, self._xi = up_doubling_params(self._epoch, self._k)
-            self._set_floor(min_obs)
 
     @property
     def estimator_state(self) -> ProbabilityEstimatorState:
@@ -1056,18 +1073,6 @@ class Exp3UP(_UninformativeBase):
     @property
     def confidence_width(self) -> float:
         return self._xi
-
-    def _set_floor(self, min_observations: int) -> None:
-        super()._set_floor(min_observations)
-        self._state._track(self._min_obs, self._xi / math.sqrt(self._min_obs))
-
-    def _epoch_eta(self, epoch: int) -> float:
-        return up_doubling_params(epoch, self._k)[0]
-
-    def _apply_epoch_params(self) -> None:
-        eta, min_obs, xi = up_doubling_params(self._epoch, self._k)
-        self._xi = xi
-        self._restart(eta, min_obs)
 
     @property
     def _store(self):
@@ -1079,18 +1084,14 @@ class Exp3UP(_UninformativeBase):
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
         return _importance_estimates(losses, _sum(extras[0] * state._divisors[fired], axis=-1), losses_checked)
 
-    def _extra_state(self):
-        state = self._state
-        return {**self._base_extra(), "counts": state.counts.tolist(), "sums": state.sums.tolist(),
-                "confidence_width": self._xi}
-
-    def _restore_extra(self, extra):
-        counts, sums = (_snapshot_array(extra, name, (self._k, self._k)) for name in ("counts", "sums"))
-        if not ((sums >= 0) & (sums <= counts)).all():
-            raise ValueError("snapshot field 'sums' must lie in [0, counts] on every edge")
-        self._state.counts, self._state.sums = counts, sums
-        self._xi = float(extra["confidence_width"])
-        self._restore_base_extra(extra)  # sets the floor, which rebuilds the divisors
+    def _fields(self):
+        k = self._k
+        return {
+            **super()._fields(),
+            "counts": _Stored(self._state, "counts", (k, k), (0, math.inf)),
+            "sums": _Stored(self._state, "sums", (k, k), (0, "counts")),
+            "confidence_width": self._xi,
+        }
 
 
 class Exp3GR(_UninformativeBase):
@@ -1102,28 +1103,17 @@ class Exp3GR(_UninformativeBase):
     algorithm = "exp3-gr"
 
     def __init__(self, config, graph, probs=None, seed=0):
-        super().__init__(config, graph, probs, seed)
         if isinstance(config.schedule, DoublingSchedule):
             if config.epsilon is None:
                 raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
-            if self._k < 2:
+            if graph.num_experts < 2:
                 raise ConfigError("exp3-gr with the doubling schedule needs K >= 2 (ln K must be positive)")
-            self._epoch = 0
-            self._eta_value, min_obs = gr_doubling_params(0, self._k, len(self._dominating), config.epsilon)
-            self._set_floor(min_obs)
-        self._buffers = ResampleBuffer(graph, self._min_obs)
+        self._buffers = ResampleBuffer(graph, 1)  # entering the first epoch grows it to M
+        super().__init__(config, graph, probs, seed)
 
     @property
     def buffers(self) -> ResampleBuffer:
         return self._buffers
-
-    def _epoch_eta(self, epoch: int) -> float:
-        return gr_doubling_params(epoch, self._k, len(self._dominating), self.config.epsilon)[0]
-
-    def _apply_epoch_params(self) -> None:
-        eta, min_obs = gr_doubling_params(self._epoch, self._k, len(self._dominating), self.config.epsilon)
-        self._restart(eta, min_obs)
-        self._buffers.grow(min_obs)
 
     @property
     def _store(self):
@@ -1133,15 +1123,15 @@ class Exp3GR(_UninformativeBase):
         trials = _resample_targets(extras[1], self._buffers, fired, self._min_obs, self._rng)
         return _resampled_estimates(losses, trials, self._min_obs, losses_checked)
 
+    def _fields(self):
+        return {**super()._fields(), "capacity": self._buffers.capacity}
+
     def _extra_state(self):
-        return {**self._base_extra(), "capacity": self._buffers.capacity, "buffers": self._buffers.samples()}
+        return {**super()._extra_state(), "buffers": self._buffers.samples()}
 
     def _restore_extra(self, extra):
-        self._restore_base_extra(extra)
-        capacity = extra["capacity"]
-        if capacity != self._min_obs:  # built at M, grown to M at each restart
-            raise ValueError(f"snapshot field 'capacity' must equal min_observations {self._min_obs}, got {capacity!r}")
-        self._buffers = ResampleBuffer.from_samples(self._graph, self._min_obs, extra["buffers"])
+        super()._restore_extra(extra)
+        self._buffers = ResampleBuffer.from_samples(self._graph, self._min_obs, _snapshot_field(extra, "buffers"))
 
 
 _REGISTRY = {cls.algorithm: cls for cls in (Exp3, Exp3Dom, Exp3IP, Exp3UP, Exp3GR)}
@@ -1161,21 +1151,29 @@ def make_learner(config: LearnerConfig, graph: NominalGraph, probs=None, seed=0)
 
 def load_snapshot(text: str, graph: NominalGraph, probs=None):
     """Rebuild a learner from ``snapshot()`` output plus its (static) graph.
-    A field that does not fit the graph raises ValueError naming it."""
+
+    Stored state is read back: the round, weights, generator, exploration
+    counts and cursor, exp3-up's ``counts`` and ``sums``, exp3-gr's
+    ``buffers`` and the informed learners' ``doubling``.  The uninformative
+    learners enter the stored ``epoch``; ``eta_value``, ``min_observations``,
+    ``confidence_width`` and ``capacity`` are recomputed from (config, epoch)
+    and must equal the text.  A missing field, a mismatch, a non-integer where
+    an integer belongs, or a field that does not fit the graph raises
+    ValueError naming the field."""
     payload = json.loads(text)
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {payload.get('version')}")
-    cfg = payload["config"]
+    if _snapshot_field(payload, "version") != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {payload['version']}")
+    cfg = _snapshot_field(payload, "config")
     config = LearnerConfig(
-        algorithm=payload["algorithm"],
-        schedule=parse_schedule(cfg["schedule"]),
-        min_observations=int(cfg["min_observations"]),
-        confidence_width=float(cfg["confidence_width"]),
-        epsilon=cfg["epsilon"],
+        algorithm=_snapshot_field(payload, "algorithm"),
+        schedule=parse_schedule(_snapshot_field(cfg, "schedule")),
+        min_observations=int(_snapshot_array(cfg, "min_observations", ())),
+        confidence_width=float(_snapshot_array(cfg, "confidence_width", (), float)),
+        epsilon=_snapshot_field(cfg, "epsilon"),
     )
     learner = make_learner(config, graph, probs=probs, seed=0)
-    learner._round = int(payload["round"])
+    learner._round = int(_snapshot_array(payload, "round", (), bounds=(0, math.inf)))
     learner._log_weights = WeightVector(_snapshot_array(payload, "log_weights", (learner._k,), float)).log_weights
-    learner._rng = _decode_rng_state(payload["rng"])
-    learner._restore_extra(payload["extra"])
+    learner._rng = _decode_rng_state(_snapshot_field(payload, "rng"))
+    learner._restore_extra(_snapshot_field(payload, "extra"))
     return learner

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -600,8 +602,11 @@ class TestDoublingIntegration:
         learner = make_learner(LearnerConfig("exp3-gr", FixedEta(0.3), min_observations=2), g)
         table = constant_table(g, 0.9)
         drive(learner, g, table, np.array([0.2, 0.8]), 10)
-        learner._restart(0.3, 5)
-        learner.buffers.grow(5)
+        # A restart that raises the floor: enter it, and reset the weights as _advance_epochs does.
+        learner.config = dataclasses.replace(learner.config, min_observations=5)
+        learner._enter_epoch(None)
+        learner._log_weights = np.zeros(2)
+        assert learner.buffers.capacity == 5
         np.testing.assert_array_equal(learner.weights.log_weights, np.zeros(2))
         events = drive_from(learner, g, table, np.array([0.2, 0.8]), start=11, rounds=6)
         assert [ev.chosen for ev in events] == [1, 2, 1, 2, 1, 2]
@@ -615,7 +620,7 @@ class TestDoublingIntegration:
         g = NominalGraph.complete(2)
         learner = make_learner(LearnerConfig("exp3-up", FixedEta(0.3), min_observations=2), g)
         drive(learner, g, constant_table(g, 0.9), np.array([0.2, 0.8]), 6)
-        learner._restart(0.3, 2)
+        learner._enter_epoch(None)
         assert not learner._exploring()
 
 
@@ -776,6 +781,22 @@ class TestSnapshotValidation:
             ("exp3-dom+doubling", lambda extra: set_doubling(extra, accumulated=math.inf), "accumulated"),
             ("exp3-ip+doubling", lambda extra: set_doubling(extra, accumulated=2.0 ** extra["doubling"]["epoch"] + 1),
              "accumulated"),
+            ("exp3-up", lambda extra: extra.update(min_observations=2), "min_observations"),  # the config says 3
+            ("exp3-gr", lambda extra: extra.update(min_observations=2, capacity=2), "min_observations"),
+            ("exp3-up", lambda extra: extra.update(confidence_width=0.5), "confidence_width"),
+            ("exp3-up", lambda extra: extra.update(confidence_width=math.nan), "confidence_width"),
+            ("exp3-up", lambda extra: extra.update(confidence_width=1e9), "confidence_width"),
+            ("exp3-up+doubling", lambda extra: extra.update(confidence_width=1.0), "confidence_width"),
+            ("exp3-up", lambda payload: payload.update(round=-5), "round"),
+            ("exp3-gr", lambda payload: payload.update(round=2.7), "round"),
+            ("exp3-ip", lambda payload: payload.update(round="7"), "round"),
+            ("exp3", lambda payload: payload.update(round=True), "round"),
+            ("exp3-gr", lambda extra: extra.update(explore_cursor=1.9), "explore_cursor"),
+            ("exp3-up", lambda extra: extra["counts"][0].__setitem__(0, extra["counts"][0][0] + 0.5), "counts"),
+            ("exp3-up", lambda extra: extra.pop("sums"), "sums"),
+            ("exp3-gr", lambda extra: extra.pop("capacity"), "capacity"),
+            ("exp3-gr", lambda payload: payload.pop("extra"), "extra"),
+            ("exp3-ip+doubling", lambda extra: set_doubling(extra, accumulated="x"), "accumulated"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -788,11 +809,15 @@ class TestSnapshotValidation:
              "gr-capacity-off-floor-under-doubling", "ip-doubling-without-schedule", "exp3-doubling-without-schedule",
              "ip-doubling-null-under-doubling", "dom-doubling-null-under-doubling", "ip-epoch-negative",
              "exp3-epoch-negative", "dom-epoch-fractional", "ip-epoch-overflow", "ip-accumulated-nan",
-             "exp3-accumulated-negative", "dom-accumulated-inf", "ip-accumulated-above-bound"],
+             "exp3-accumulated-negative", "dom-accumulated-inf", "ip-accumulated-above-bound", "up-floor-below-config",
+             "gr-floor-and-capacity-below-config", "up-xi-below-config", "up-xi-nan", "up-xi-huge",
+             "up-xi-off-schedule", "round-negative", "round-fractional", "round-string", "round-bool",
+             "gr-cursor-fractional", "counts-fractional", "sums-missing", "capacity-missing", "extra-missing",
+             "ip-accumulated-string"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
-        tamper(payload["extra"])
+        tamper(payload if field in ("round", "extra") else payload["extra"])
         with pytest.raises(ValueError, match=f"'{field}'"):
             load_on_k4(payload)
 
@@ -820,3 +845,32 @@ class TestSnapshotValidation:
         payload = snapshot_payload(algorithm, k=k, rounds=rounds)
         text = json.dumps(payload)
         assert load_snapshot(text, NominalGraph.complete(k)).snapshot() == text
+
+
+SNAPSHOT_FIXTURE = Path(__file__).parent / "fixtures" / "learner_snapshots.json"
+SCHEDULES = {"inverse-sqrt": InverseSqrtEta(), "doubling": DoublingSchedule()}
+
+
+@pytest.mark.parametrize("name", json.loads(SNAPSHOT_FIXTURE.read_text()))
+def test_snapshot_text_and_resume_are_unchanged(name):
+    """Snapshot text at an early round and at a later round past the doubling
+    restarts, and the resume from the early one, against text recorded from
+    the implementation that stored and checked each derived field on its own."""
+    recorded = json.loads(SNAPSHOT_FIXTURE.read_text())[name]
+    algorithm, _, schedule = name.partition("+")
+    adjacency = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]], dtype=bool)
+    graph = NominalGraph(adjacency)
+    table = EdgeProbabilityTable.from_probs(graph, np.where(adjacency, np.array([0.6, 0.35, 0.8, 0.5])[:, None], 0.0))
+    losses = np.array([0.9, 0.4, 0.6, 0.1])
+    probs = table if algorithm == "exp3-ip" else None
+    config = LearnerConfig(algorithm, SCHEDULES[schedule], min_observations=3)
+    learner = make_learner(config, graph, probs=probs, seed=5)
+    feedback_rng = np.random.default_rng(101)
+    early, late = recorded["early"], recorded["late"]
+    for t in range(1, late + 1):
+        if t == early + 1:  # resume from the recorded text, not from the learner
+            assert learner.snapshot() == recorded["snapshots"][str(early)]
+            learner = load_snapshot(recorded["snapshots"][str(early)], graph, probs=probs)
+        pick = learner.select(t, graph)
+        learner.update(realize_feedback(graph, table, pick, losses, feedback_rng, t=t))
+    assert learner.snapshot() == recorded["snapshots"][str(late)]
