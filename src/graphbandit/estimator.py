@@ -8,12 +8,15 @@ of them.  Each check costs O(1) numpy reductions.  A sum is finite when
 every entry is (unless finite entries overflow it), so the entry-wise
 finiteness scan runs only when the sum is not.
 
-A learner-round checks each fact once.  On ``run_episode``'s path the loss
-table is checked before round 1, so the estimate kernels check only q > 0
-(exp3-gr: the trial counts); the learner's weight step and pmf build check
-one sum each, and hand anything else to ``_exp_weight_step`` or
-``_normalized``, which raise.  On ``update``'s path the estimate kernels
-also check every loss, in feedback order (``policies._LearnerBase._observe``)."""
+A learner-round checks each fact once, in this order (``run_episode``'s
+stand-in in brackets; see ``policies._LearnerBase._observe``):
+
+1. indices in 1..K, none twice: ``update`` (fired out-positions);
+2. losses in [0, 1], pmf-driven rounds: ``update`` (the loss-table check);
+3. activations on out-edges only: ``update`` (fired out-positions);
+4. q > 0 and trial counts in [1, M]: the estimate kernels;
+5. finite estimates and weights: one sum each in the weight step and the
+   pmf build, which hand anything else to ``_exp_weight_step`` or ``_normalized``."""
 
 from __future__ import annotations
 
@@ -154,20 +157,16 @@ def importance_loss_estimate(loss: float, q: float, observed: bool) -> float:
     """
     if not observed:
         return 0.0
+    if not 0 <= loss <= 1:  # NaN fails
+        raise ValueError(f"loss must be in [0, 1], got {loss}")
     return float(_importance_estimates(np.array([loss]), np.array([q]))[0])
 
 
-def _importance_estimates(losses: np.ndarray, q: np.ndarray, losses_checked: bool = False) -> np.ndarray:
-    """losses / q for a round's observed losses, each against its own
-    observation probability.  Checked in order, loss before q: the first
-    loss outside [0, 1] or q <= 0 raises.  With ``losses_checked`` (losses
-    read from a table checked before round 1) only q is checked."""
-    if losses.size and not (_min(q) > 0 and (losses_checked or 0 <= _min(losses) <= _max(losses) <= 1)):  # NaN fails
-        bad_loss = ~((losses >= 0) & (losses <= 1))
-        i = (bad_loss | ~(q > 0)).argmax()
-        if bad_loss[i]:
-            raise ValueError(f"loss must be in [0, 1], got {losses[i]}")
-        raise InvariantError(f"observed a loss with observation probability {q[i]} <= 0")
+def _importance_estimates(losses: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """losses / q for a round's observed losses, checked in [0, 1] by the
+    caller, each against its own observation probability; a q <= 0 raises."""
+    if q.size and not _min(q) > 0:  # NaN fails
+        raise InvariantError(f"observed a loss with observation probability {q[(~(q > 0)).argmax()]} <= 0")
     return losses / q
 
 

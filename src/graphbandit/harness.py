@@ -23,7 +23,7 @@ from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, run_ep
 from .errors import ConfigError
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import ALGORITHMS, LearnerConfig, make_learner
+from .policies import ALGORITHMS, LearnerConfig, _sample_floor, make_learner
 from .schedulers import InverseSqrtEta, Schedule
 
 __all__ = [
@@ -81,6 +81,7 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        object.__setattr__(self, "min_observations", _sample_floor(self.min_observations))
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.bundle is not None and self.bundle.num_experts != self.graph.num_experts:

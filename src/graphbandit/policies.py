@@ -15,8 +15,9 @@ Only exp3-ip takes the edge-probability table; exp3 and exp3-dom are exp3-ip
 on fixed tables.  All expert indices crossing the public interface are 1-based.
 
 A learner's state is plain arrays.  ``run_episode`` hands each round's
-feedback to ``_observe`` as arrays; ``update`` is its ``FeedbackEvent`` view,
-and ``weights``/``last_pmf`` build their objects from the arrays on demand.
+feedback to ``_observe`` as arrays; ``update`` checks a ``FeedbackEvent``
+and hands it on as the same arrays, and ``weights``/``last_pmf`` build their
+objects from the arrays on demand.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .schedulers import (
     DoublingState,
     InverseSqrtEta,
     Schedule,
+    doubling_eta,
     eta_at,
     format_schedule,
     gr_doubling_params,
@@ -96,12 +98,18 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.min_observations < 1:
-            raise ConfigError(f"min_observations must be >= 1, got {self.min_observations}")
+        object.__setattr__(self, "min_observations", _sample_floor(self.min_observations))
         if not self.confidence_width >= 1:
             raise ConfigError(f"confidence_width must be >= 1, got {self.confidence_width}")
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
             raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
+
+
+def _sample_floor(value) -> int:
+    """A config's ``min_observations``, an integer >= 1 (not a bool), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"min_observations must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +288,7 @@ def estimated_observation_prob(
     """
     if not 1 <= i <= graph.num_experts:
         raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    if min_observations < 1:
-        raise ValueError("min_observations must be >= 1")
+    _sample_floor(min_observations)
     _check_in_edges(graph, state.counts, min_observations, np.array([i - 1]))
     divisors = _inflated_divisors(graph.adjacency, state.estimates, confidence_width / math.sqrt(min_observations))
     return float((pmf.probs * divisors[i - 1]).sum())
@@ -561,27 +568,17 @@ def geometric_resample(
     """
     if not 1 <= i <= graph.num_experts:
         raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    if min_observations < 1:
-        raise ValueError("min_observations must be >= 1")
+    _sample_floor(min_observations)
     if buffers.graph != graph:
         raise ValueError("the buffers belong to a different graph")
     return int(_resample_targets(_cumsum(pmf.probs), buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
-def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int | None, losses_checked=False) -> np.ndarray:
-    """trials * losses for a round's observed losses.  Checked in order,
-    loss before trial count: the first loss outside [0, 1] or count outside
-    [1, cap] raises.  With ``losses_checked`` only the counts are checked."""
-    if losses.size and not (
-        _min(trials) >= 1 and (cap is None or _max(trials) <= cap)
-        and (losses_checked or 0 <= _min(losses) <= _max(losses) <= 1)
-    ):  # NaN fails
-        bad_loss = ~((losses >= 0) & (losses <= 1))
-        bad_count = trials < 1 if cap is None else (trials < 1) | (trials > cap)
-        i = (bad_loss | bad_count).argmax()
-        if bad_loss[i]:
-            raise ValueError(f"loss must be in [0, 1], got {losses[i]}")
-        raise ContractError(f"trial count {trials[i]} outside [1, {cap}]")
+def _resampled_estimates(losses: np.ndarray, trials: np.ndarray, cap: int) -> np.ndarray:
+    """trials * losses for a round's observed losses, checked in [0, 1] by the
+    caller; the first trial count outside [1, cap] raises."""
+    if trials.size and not (_min(trials) >= 1 and _max(trials) <= cap):
+        raise ContractError(f"trial count {trials[((trials < 1) | (trials > cap)).argmax()]} outside [1, {cap}]")
     return trials * losses
 
 
@@ -652,31 +649,38 @@ class _LearnerBase:
             raise ProtocolError(f"{self.algorithm} runs on the static nominal graph it was built with")
 
     def update(self, feedback: FeedbackEvent) -> None:
+        """Check ``feedback`` in the order ``_observe`` lists, then take it as
+        ``run_episode``'s arrays; a rejected event leaves the learner as it was."""
         if self._pending is None:
             raise ProtocolError("update called before select")
-        t, choice, _ = self._pending
+        t, choice, extras = self._pending
         if feedback.t != t:
             raise ProtocolError(f"feedback is for round {feedback.t}, learner is at round {t}")
         if feedback.chosen != choice:
             raise ProtocolError(f"feedback says index {feedback.chosen} was chosen, learner chose {choice}")
         observed = feedback.observed
+        distinct = {j for j, _ in observed}
+        if len(distinct) != len(observed) or not distinct.issubset(range(1, self._k + 1)):
+            raise ContractError(f"observed indices must be distinct, in 1..{self._k}: {[j for j, _ in observed]}")
         fired = np.fromiter((j - 1 for j, _ in observed), dtype=np.int64, count=len(observed))
         losses = np.fromiter((loss for _, loss in observed), dtype=float, count=len(observed))
-        self._observe(t, choice, fired, losses, None)
+        if extras is not None and losses.size and not 0 <= _min(losses) <= _max(losses) <= 1:  # NaN fails
+            raise ValueError(f"loss must be in [0, 1], got {losses[(~((losses >= 0) & (losses <= 1))).argmax()]}")
+        hits = _out_edge_hits(self._graph, choice, np.bincount(fired, minlength=self._k))
+        self._observe(t, choice, fired, losses, hits)
 
-    def _observe(self, t: int, chosen: int, fired: np.ndarray, losses: np.ndarray, hits) -> None:
-        """Take the feedback of the round ``select`` just chose ``chosen``
-        for: the 0-based positions whose losses were revealed, in feedback
-        order, those losses, and the hit mask over ``chosen``'s
-        out-positions that ``environment._fire`` drew them from.
-        ``run_episode`` calls this directly.  ``hits`` is None when the
-        feedback came through ``update``.  Where each check runs:
+    def _observe(self, t: int, chosen: int, fired: np.ndarray, losses: np.ndarray, hits: np.ndarray) -> None:
+        """Take the checked feedback of the round ``select`` just chose
+        ``chosen`` for: the 0-based positions revealed, in feedback order,
+        their losses and the hit mask over ``chosen``'s out-positions.
+        ``run_episode`` calls this directly.  Each check runs once, in this
+        order (``run_episode``'s stand-in in brackets):
 
-        * losses in [0, 1]: ``run_episode``'s table check before round 1;
-          from ``update``, the estimate kernels (and ``Exp3._apply``);
-        * activations on out-edges only: ``environment._Feedback``; from ``update``, ``_hits``;
-        * q > 0 and trial counts in [1, M]: the estimate kernels, both paths;
-        * finite estimates and weights: ``_exp_update``'s one sum, both paths."""
+        1. indices in 1..K, none twice: ``update`` (fired out-positions);
+        2. losses in [0, 1], pmf-driven rounds: ``update`` (the loss-table check);
+        3. activations on out-edges only: ``update`` (fired out-positions);
+        4. q > 0 and trial counts in [1, M]: the estimate kernels;
+        5. finite estimates and weights: ``_exp_update``'s one sum."""
         self._apply(chosen, fired, losses, hits, self._pending[2])
         self._pending = None
         self._round = t
@@ -716,16 +720,6 @@ class _LearnerBase:
                 estimates[fired] = values
                 log_weights = _exp_weight_step(self._log_weights, eta, estimates)  # canonical: max is 0.0
             self._log_weights = log_weights - _max(log_weights)
-
-    def _hits(self, chosen: int, fired: np.ndarray, hits) -> np.ndarray:
-        """The round's hit mask over ``chosen``'s out-positions.  Feedback
-        from ``update`` (``hits`` None) was not drawn by ``_fire``, so its
-        activations are checked against the graph here."""
-        if hits is None:
-            realized = np.zeros(self._k, dtype=bool)
-            realized[fired] = True
-            hits = _out_edge_hits(self._graph, chosen, realized)
-        return hits
 
     # -- snapshots ---------------------------------------------------------
 
@@ -805,11 +799,11 @@ def _decode_rng_state(payload) -> np.random.Generator:
             return {k: conv(v) for k, v in obj.items()}
         return obj
 
-    state = conv(payload)
-    if state.get("bit_generator") != "Philox":
-        raise ValueError(f"unsupported generator {state.get('bit_generator')!r} in snapshot")
     bit_gen = np.random.Philox()
-    bit_gen.state = state
+    try:  # the setter rejects any other generator's state
+        bit_gen.state = conv(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"snapshot field 'rng' is not a Philox state: {exc!r}") from None
     return np.random.Generator(bit_gen)
 
 
@@ -832,7 +826,7 @@ class Exp3IP(_LearnerBase):
 
     def _eta(self, t: int) -> float:
         if self._doubling is not None:
-            return math.sqrt(math.log(self._k) / 2.0 ** (self._doubling.epoch + 1))
+            return doubling_eta(self._doubling.epoch, math.log(self._k))
         return eta_at(self.config.schedule, t)
 
     def _choose(self, t):
@@ -845,9 +839,7 @@ class Exp3IP(_LearnerBase):
         if not fired.size and self._doubling is None:
             return  # nothing observed: every step below is a no-op
         q = pmf @ self._table.masked
-        values = _importance_estimates(losses, q[fired], hits is not None)
-        self._hits(chosen, fired, hits)  # after the loss check, as in exp3-up and exp3-gr
-        self._exp_update(eta, fired, values)
+        self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
         if self._doubling is not None:
             self._doubling, restart, _ = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
             if restart:
@@ -892,10 +884,6 @@ class Exp3(Exp3IP):
         return bandit, EdgeProbabilityTable.constant(bandit, 1.0)
 
     def _apply(self, chosen, fired, losses, hits, extras):
-        if hits is None:
-            # Through update, a bad loss anywhere in the feedback raises, as
-            # in exp3-ip; estimating against q = 1 checks only the losses.
-            _importance_estimates(losses, np.ones(losses.size))
         own = fired == chosen - 1
         super()._apply(chosen, fired[own], losses[own], hits, extras)
 
@@ -999,12 +987,12 @@ class _UninformativeBase(_LearnerBase):
 
     def _apply(self, chosen, fired, losses, hits, extras):
         if extras is None:  # exploration round: record samples, no weight update
-            self._store._record(chosen - 1, self._hits(chosen, fired, hits))
+            self._store._record(chosen - 1, hits)
             self._explored(chosen)
             return
-        values = self._estimates(fired, losses, extras, hits is not None)
+        values = self._estimates(fired, losses, extras)
         # Recorded after estimating, so the round's estimates read only earlier rounds.
-        self._store._record(chosen - 1, self._hits(chosen, fired, hits))
+        self._store._record(chosen - 1, hits)
         self._exp_update(extras[2], fired, values)
 
     def _advance_epochs(self, t: int) -> None:
@@ -1078,11 +1066,11 @@ class Exp3UP(_UninformativeBase):
     def _store(self):
         return self._state
 
-    def _estimates(self, fired, losses, extras, losses_checked):
+    def _estimates(self, fired, losses, extras):
         state = self._state
         if state._short:  # no in-edge can be short once every edge holds M samples
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
-        return _importance_estimates(losses, _sum(extras[0] * state._divisors[fired], axis=-1), losses_checked)
+        return _importance_estimates(losses, _sum(extras[0] * state._divisors[fired], axis=-1))
 
     def _fields(self):
         k = self._k
@@ -1119,9 +1107,9 @@ class Exp3GR(_UninformativeBase):
     def _store(self):
         return self._buffers
 
-    def _estimates(self, fired, losses, extras, losses_checked):
+    def _estimates(self, fired, losses, extras):
         trials = _resample_targets(extras[1], self._buffers, fired, self._min_obs, self._rng)
-        return _resampled_estimates(losses, trials, self._min_obs, losses_checked)
+        return _resampled_estimates(losses, trials, self._min_obs)
 
     def _fields(self):
         return {**super()._fields(), "capacity": self._buffers.capacity}
@@ -1131,7 +1119,10 @@ class Exp3GR(_UninformativeBase):
 
     def _restore_extra(self, extra):
         super()._restore_extra(extra)
-        self._buffers = ResampleBuffer.from_samples(self._graph, self._min_obs, _snapshot_field(extra, "buffers"))
+        try:
+            self._buffers = ResampleBuffer.from_samples(self._graph, self._min_obs, _snapshot_field(extra, "buffers"))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"snapshot field 'buffers' does not fit the graph: {exc!r}") from None
 
 
 _REGISTRY = {cls.algorithm: cls for cls in (Exp3, Exp3Dom, Exp3IP, Exp3UP, Exp3GR)}
@@ -1164,12 +1155,15 @@ def load_snapshot(text: str, graph: NominalGraph, probs=None):
     if _snapshot_field(payload, "version") != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {payload['version']}")
     cfg = _snapshot_field(payload, "config")
+    schedule = _snapshot_field(cfg, "schedule")
+    if not isinstance(schedule, str):
+        raise ValueError(f"snapshot field 'schedule' must be a string, got {schedule!r}")
     config = LearnerConfig(
         algorithm=_snapshot_field(payload, "algorithm"),
-        schedule=parse_schedule(_snapshot_field(cfg, "schedule")),
+        schedule=parse_schedule(schedule),
         min_observations=int(_snapshot_array(cfg, "min_observations", ())),
         confidence_width=float(_snapshot_array(cfg, "confidence_width", (), float)),
-        epsilon=_snapshot_field(cfg, "epsilon"),
+        epsilon=None if _snapshot_field(cfg, "epsilon") is None else float(_snapshot_array(cfg, "epsilon", (), float)),
     )
     learner = make_learner(config, graph, probs=probs, seed=0)
     learner._round = int(_snapshot_array(payload, "round", (), bounds=(0, math.inf)))

@@ -31,6 +31,7 @@ __all__ = [
     "parse_schedule",
     "format_schedule",
     "eta_at",
+    "doubling_eta",
     "ip_doubling_step",
     "up_doubling_params",
     "gr_doubling_params",
@@ -94,6 +95,11 @@ def eta_at(schedule: Schedule, t: int) -> float:
     raise ValueError("doubling schedules carry their own epoch state")
 
 
+def doubling_eta(epoch: int, ln_k: float) -> float:
+    """The doubling rate of every learner in ``epoch``: sqrt(ln K / 2^(epoch+1))."""
+    return math.sqrt(ln_k / 2.0 ** (epoch + 1))
+
+
 @dataclass(frozen=True)
 class DoublingState:
     """Epoch counter plus (for the informed learner) the running load total."""
@@ -122,8 +128,7 @@ def ip_doubling_step(state: DoublingState, probs: np.ndarray, q, ln_k: float) ->
     while accumulated > 2.0**epoch:
         epoch += 1
         restart = True
-    eta = math.sqrt(ln_k / 2.0 ** (epoch + 1))
-    return DoublingState(epoch, accumulated), restart, eta
+    return DoublingState(epoch, accumulated), restart, doubling_eta(epoch, ln_k)
 
 
 def up_start_epoch(num_experts: int) -> int:
@@ -143,7 +148,7 @@ def up_doubling_params(b: int, num_experts: int) -> tuple[float, int, float]:
         raise ValueError("need at least one expert")
     if b < up_start_epoch(k):
         raise ValueError(f"epoch {b} below the start epoch {up_start_epoch(k)} for K={k}")
-    eta = math.sqrt(math.log(k) / 2.0 ** (b + 1))
+    eta = doubling_eta(b, math.log(k))
     m = math.ceil(2.0 ** (2 * (b + 1) / 3) / math.sqrt(k) + math.log(4 * k))
     xi = (2 * k**0.25 + math.sqrt(4 * math.sqrt(k) + 1)) * math.sqrt(math.log(k * 2.0 ** (b + 3)))
     return eta, int(m), xi
@@ -167,6 +172,6 @@ def gr_doubling_params(b: int, num_experts: int, dom_size: int, epsilon: float) 
         raise ValueError(f"dominating-set size must be >= 1, got {dom_size}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    eta = math.sqrt(math.log(k) / 2.0 ** (b + 1))
+    eta = doubling_eta(b, math.log(k))
     m = math.ceil((b + 1) * math.sqrt(2.0 ** (b - 1)) * dom_size * math.log(2) / (epsilon * math.sqrt(math.log(k))))
     return eta, int(m)

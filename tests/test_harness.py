@@ -98,6 +98,14 @@ class TestConfigValidation:
     def test_numpy_integer_seed_accepted(self):
         assert small_config(seed=np.int64(7)).seed == 7
 
+    @pytest.mark.parametrize("floor", [2.5, True, "3", 0])
+    def test_sample_floor_must_be_a_positive_integer(self, floor):
+        with pytest.raises(ConfigError, match="min_observations"):
+            small_config(min_observations=floor)
+
+    def test_numpy_integer_sample_floor_stored_as_int(self):
+        assert type(small_config(min_observations=np.int64(3)).min_observations) is int
+
     def test_bad_probability_generator(self):
         with pytest.raises(ConfigError):
             small_config(prob_generator=("uniform", 0.5, 0.2))

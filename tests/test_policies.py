@@ -350,10 +350,10 @@ class TestGeometricResample:
 
     def test_resampled_loss_estimate(self):
         # The learners estimate only the observed losses: trials * loss each.
-        estimates = _resampled_estimates(np.array([0.5, 1.0]), np.array([3, 1]), None)
+        estimates = _resampled_estimates(np.array([0.5, 1.0]), np.array([3, 1]), 3)
         np.testing.assert_allclose(estimates, [1.5, 1.0])
         with pytest.raises(ContractError):
-            _resampled_estimates(np.array([0.5]), np.array([0]), None)
+            _resampled_estimates(np.array([0.5]), np.array([0]), 5)
         with pytest.raises(ContractError):
             _resampled_estimates(np.array([0.5]), np.array([6]), 5)
 
@@ -384,6 +384,21 @@ class TestLearnerConfig:
     def test_sample_floor_positive(self):
         with pytest.raises(ConfigError, match="min_observations"):
             LearnerConfig("exp3-gr", FixedEta(0.3), min_observations=0)
+
+    @pytest.mark.parametrize("floor", [2.5, 3.0, True, np.bool_(True), "3"])
+    def test_sample_floor_must_be_an_integer(self, floor):
+        with pytest.raises(ConfigError, match="min_observations must be an integer >= 1"):
+            LearnerConfig("exp3-up", FixedEta(0.3), min_observations=floor)
+
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_numpy_integer_sample_floor_stored_as_int(self, algorithm):
+        config = LearnerConfig(algorithm, FixedEta(0.3), min_observations=np.int64(3))
+        assert type(config.min_observations) is int
+        g = NominalGraph.complete(3)
+        learner = make_learner(config, g, seed=1)
+        drive(learner, g, constant_table(g, 0.5), np.full(3, 0.5), 12)
+        text = learner.snapshot()
+        assert load_snapshot(text, g).snapshot() == text
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -435,7 +450,7 @@ class TestLearnerProtocol:
             with pytest.raises(ConfigError):
                 make_learner(LearnerConfig(algorithm, FixedEta(0.3)), g, probs=table)
 
-    @pytest.mark.parametrize("algorithm", ["exp3-ip", "exp3-dom"])
+    @pytest.mark.parametrize("algorithm", ["exp3-ip", "exp3-dom", "exp3"])
     def test_activation_on_a_non_edge_rejected(self, algorithm):
         # The 3-cycle with self-loops: 1->2, 2->3, 3->1.
         g = NominalGraph.from_edges(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)])
@@ -797,6 +812,14 @@ class TestSnapshotValidation:
             ("exp3-gr", lambda extra: extra.pop("capacity"), "capacity"),
             ("exp3-gr", lambda payload: payload.pop("extra"), "extra"),
             ("exp3-ip+doubling", lambda extra: set_doubling(extra, accumulated="x"), "accumulated"),
+            ("exp3-gr+doubling", lambda payload: payload["config"].update(epsilon="x"), "epsilon"),
+            ("exp3-gr+doubling", lambda payload: payload["config"].update(epsilon=True), "epsilon"),
+            ("exp3-up", lambda payload: payload["config"].update(schedule=5), "schedule"),
+            ("exp3", lambda payload: payload.update(rng=5), "rng"),
+            ("exp3-ip", lambda payload: payload["rng"].pop("state"), "rng"),
+            ("exp3-up", lambda payload: payload["rng"]["state"].update(counter="7"), "rng"),
+            ("exp3-gr", lambda extra: extra.update(buffers=[1, 2]), "buffers"),
+            ("exp3-gr", lambda extra: extra["buffers"].update({"5,1": [1]}), "buffers"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -813,11 +836,12 @@ class TestSnapshotValidation:
              "gr-floor-and-capacity-below-config", "up-xi-below-config", "up-xi-nan", "up-xi-huge",
              "up-xi-off-schedule", "round-negative", "round-fractional", "round-string", "round-bool",
              "gr-cursor-fractional", "counts-fractional", "sums-missing", "capacity-missing", "extra-missing",
-             "ip-accumulated-string"],
+             "ip-accumulated-string", "epsilon-string", "epsilon-bool", "schedule-number", "rng-number",
+             "rng-without-state", "rng-string-counter", "buffers-list", "buffers-unknown-edge"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
-        tamper(payload if field in ("round", "extra") else payload["extra"])
+        tamper(payload if field in ("round", "extra", "epsilon", "schedule", "rng") else payload["extra"])
         with pytest.raises(ValueError, match=f"'{field}'"):
             load_on_k4(payload)
 

@@ -6,6 +6,8 @@
   activations.  ``reference_update_outcome`` keeps that order.
 * exp3 rejects a bad loss anywhere in the feedback, as exp3-dom does, with
   the same message for the first bad entry in feedback order.
+* Every learner rejects an index outside 1..K or a repeated one before any
+  other check, and a rejected event leaves the learner as it was.
 """
 
 import math
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from graphbandit.environment import FeedbackEvent, StochasticGapAdversary, run_episode
 from graphbandit.errors import ContractError
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph
-from graphbandit.policies import LearnerConfig, make_learner
+from graphbandit.policies import ALGORITHMS, LearnerConfig, make_learner
 from graphbandit.schedulers import FixedEta
 
 SPARSE = NominalGraph(
@@ -134,3 +136,75 @@ def test_exp3_rejects_a_nan_loss_of_another_expert():
     other = pick % 3 + 1
     with pytest.raises(ValueError, match=r"loss must be in \[0, 1\], got nan"):
         learner.update(FeedbackEvent(1, pick, ((other, math.nan), (pick, 0.5)), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# Indices are checked first, and a rejected event changes nothing
+# ---------------------------------------------------------------------------
+
+
+# Complete, so an index that wrapped around would land on an out-edge.
+COMPLETE = NominalGraph.complete(4)
+
+
+def twins(algorithm, exploring):
+    """Two equal learners about to play the same round, and its number: the
+    first round, or the first after eight played by run_episode (exp3-up's
+    and exp3-gr's forced exploration, with M = 2)."""
+    probs = EdgeProbabilityTable.constant(COMPLETE, 0.7)
+    pair = []
+    for _ in range(2):
+        config = LearnerConfig(algorithm, FixedEta(0.2), min_observations=2)
+        learner = make_learner(config, COMPLETE, probs=probs if algorithm == "exp3-ip" else None, seed=3)
+        if not exploring:
+            run_episode(learner, StochasticGapAdversary(gap=0.2), COMPLETE, probs, 8, seed=4)
+        assert getattr(learner, "_exploring", lambda: False)() == exploring
+        pair.append(learner)
+    return pair, 1 if exploring else 9
+
+
+def good_feedback(data, k, min_size=0):
+    targets = data.draw(st.lists(st.integers(1, k), unique=True, min_size=min_size, max_size=k))
+    return tuple((j, data.draw(st.floats(0.0, 1.0))) for j in targets)
+
+
+@pytest.mark.parametrize(
+    "algorithm, exploring", [(a, False) for a in ALGORITHMS] + [("exp3-up", True), ("exp3-gr", True)]
+)
+@pytest.mark.parametrize("bad", ["zero", "minus-one", "past-k", "fractional", "repeated"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_bad_index_rejected_and_the_learner_left_unchanged(algorithm, exploring, bad, data):
+    (learner, twin), t = twins(algorithm, exploring)
+    pick = learner.select(t, COMPLETE)
+    assert twin.select(t, COMPLETE) == pick
+    k = COMPLETE.num_experts
+    good = good_feedback(data, k, min_size=1 if bad == "repeated" else 0)
+    if bad == "repeated":
+        index = data.draw(st.sampled_from([j for j, _ in good]))
+    else:
+        index = {"zero": 0, "minus-one": -1, "past-k": k + 1, "fractional": 1.5}[bad]
+    # The index check comes first, so a bad loss beside it changes nothing.
+    entry = (index, data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(BAD_LOSSES))))
+    at = data.draw(st.integers(0, len(good)))
+    with pytest.raises(ContractError, match="observed indices must be distinct"):
+        learner.update(FeedbackEvent(t, pick, good[:at] + (entry,) + good[at:], 0.5))
+    for each in (learner, twin):
+        each.update(FeedbackEvent(t, pick, good, 0.5))
+    assert learner.snapshot() == twin.snapshot()
+
+
+@settings(max_examples=20, deadline=None)
+@given(bad_loss=st.sampled_from(BAD_LOSSES), data=st.data())
+def test_rejected_loss_leaves_exp3_gr_generator_alone(bad_loss, data):
+    (learner, twin), t = twins("exp3-gr", exploring=False)
+    pick = learner.select(t, COMPLETE)
+    assert twin.select(t, COMPLETE) == pick
+    good = good_feedback(data, COMPLETE.num_experts, min_size=1)
+    at = data.draw(st.integers(0, len(good) - 1))
+    bad = good[:at] + ((good[at][0], bad_loss),) + good[at + 1 :]
+    with pytest.raises(ValueError, match=r"loss must be in \[0, 1\]"):
+        learner.update(FeedbackEvent(t, pick, bad, 0.5))
+    for each in (learner, twin):
+        each.update(FeedbackEvent(t, pick, good, 0.5))
+    assert learner.snapshot() == twin.snapshot()
