@@ -32,8 +32,6 @@ from .graph import (
 from .harness import AggregateResult, ExperimentConfig, emit_results, run_experiment
 from .policies import (
     ALGORITHMS,
-    Exp3,
-    Exp3Dom,
     Exp3GR,
     Exp3IP,
     Exp3UP,

@@ -23,7 +23,7 @@ from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, run_ep
 from .errors import ConfigError
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import ALGORITHMS, LearnerConfig, _sample_floor, make_learner
+from .policies import LearnerConfig, _sample_floor, make_learner
 from .schedulers import InverseSqrtEta, Schedule
 
 __all__ = [
@@ -64,9 +64,8 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", algorithms)
         if not algorithms:
             raise ConfigError("need at least one algorithm")
-        for name in algorithms:
-            if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}")
+        for name in algorithms:  # each learner's config checks, before any job runs
+            _learner_config(self, name)
         if len(set(algorithms)) != len(algorithms):
             raise ConfigError("duplicate algorithm in the list")
         if self.probability_mode not in ("informative", "uninformative"):

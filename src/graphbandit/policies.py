@@ -11,8 +11,10 @@ Five policies share one interface (``select(t, graph) -> index`` then
 * ``exp3``     - the classic bandit baseline, side observations ignored;
 * ``exp3-dom`` - treats the nominal graph as exact (all edge probabilities 1).
 
-Only exp3-ip takes the edge-probability table; exp3 and exp3-dom are exp3-ip
-on fixed tables.  All expert indices crossing the public interface are 1-based.
+``Exp3IP`` runs exp3-ip on the revealed table, exp3-dom on the nominal graph
+with every probability 1 and exp3 on the self-loop-only bandit graph; only
+exp3-ip takes the edge-probability table.  All expert indices crossing the
+public interface are 1-based.
 
 A learner's state is plain arrays.  ``run_episode`` hands each round's
 feedback to ``_observe`` as arrays; ``update`` checks a ``FeedbackEvent``
@@ -63,8 +65,6 @@ __all__ = [
     "estimated_observation_prob",
     "geometric_resample",
     "Exp3IP",
-    "Exp3Dom",
-    "Exp3",
     "Exp3UP",
     "Exp3GR",
     "make_learner",
@@ -481,14 +481,15 @@ class ResampleBuffer:
     @classmethod
     def from_samples(cls, graph: NominalGraph, capacity: int, samples: dict) -> "ResampleBuffer":
         """Rebuild a buffer from ``samples()`` output; a ring keeps at most
-        its last ``capacity`` samples.  A key that is not an edge raises KeyError."""
+        its last ``capacity`` samples.  A key that is not an edge raises
+        KeyError, and a ring that is not a list of 0/1 integers ValueError."""
         buffers = cls(graph, capacity)
         edge_of = {key: e for e, key in enumerate(buffers._edge_keys())}
         for key, values in samples.items():
             e = edge_of[key]
-            values = np.asarray(values[-buffers._capacity :])
-            if not ((values == 0) | (values == 1)).all():
-                raise ValueError(f"snapshot field 'buffers' holds a sample other than 0 or 1 on edge {key}")
+            if not (isinstance(values, list) and all(type(v) is int and 0 <= v <= 1 for v in values)):  # no bools
+                raise ValueError(f"snapshot field 'buffers' must hold a list of 0/1 integers on edge {key}")
+            values = values[-buffers._capacity :]
             buffers._widen(len(values))
             buffers._ring[e, : len(values)] = values
             buffers._written[e] = len(values)
@@ -592,13 +593,13 @@ class _LearnerBase:
     alternation, per-round bookkeeping, reseeding, and snapshots.
 
     Instances are single-threaded; distinct instances are independent.
+    ``algorithm`` is the config's name, one of the class's rows in ``_REGISTRY``.
     """
 
-    algorithm = ""
-
     def __init__(self, config: LearnerConfig, graph: NominalGraph, probs=None, seed=0):
-        if config.algorithm != self.algorithm:
-            raise ConfigError(f"config says {config.algorithm!r} but this learner is {self.algorithm!r}")
+        if _REGISTRY[config.algorithm] is not type(self):
+            raise ConfigError(f"config says {config.algorithm!r} but this learner is {type(self).__name__}")
+        self.algorithm = config.algorithm
         if (probs is None) == (self.algorithm == "exp3-ip"):
             need = "needs" if probs is None else "must not receive"
             raise ConfigError(f"{self.algorithm} {need} the edge-probability table; only exp3-ip takes it")
@@ -694,6 +695,12 @@ class _LearnerBase:
         raise NotImplementedError
 
     # -- shared steps --------------------------------------------------------
+
+    def _eta(self, t: int) -> float:
+        """Round ``t``'s rate: the doubling epoch's ``_eta_value``, or the schedule's."""
+        if self._eta_value is not None:
+            return self._eta_value
+        return eta_at(self.config.schedule, t)
 
     def _sample(self, mixed: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Normalize the round's selection vector and draw from it: returns
@@ -808,26 +815,22 @@ def _decode_rng_state(payload) -> np.random.Generator:
 
 
 class Exp3IP(_LearnerBase):
-    """Informative-setting learner: uses the revealed edge probabilities both
-    to spread exploration over the dominating set and to importance-weight
-    the observed losses by their exact observation probabilities."""
-
-    algorithm = "exp3-ip"
+    """The informed learner: exploration spread over a dominating set by
+    expected observations, and exact importance weights, on the (graph,
+    edge-probability) view its algorithm names: exp3-ip's nominal graph and
+    revealed table; exp3-dom's nominal graph with every probability 1; exp3's
+    self-loop-only bandit graph with probability 1, where only the chosen
+    expert's own observation counts."""
 
     def __init__(self, config, graph, probs=None, seed=0):
         super().__init__(config, graph, probs, seed)
-        view, table = self._view(graph, probs)
-        self._table = _GraphTable.build(view, table, greedy_dominating_set(view))
+        if self.algorithm == "exp3":
+            graph = NominalGraph.bandit(self._k)
+        if self.algorithm != "exp3-ip":
+            probs = EdgeProbabilityTable.constant(graph, 1.0)
+        self._table = _GraphTable.build(graph, probs, greedy_dominating_set(graph))
         self._doubling = DoublingState() if isinstance(config.schedule, DoublingSchedule) else None
-
-    def _view(self, graph, probs):
-        """The (graph, edge-probability table) the learner mixes and estimates on."""
-        return graph, probs
-
-    def _eta(self, t: int) -> float:
-        if self._doubling is not None:
-            return doubling_eta(self._doubling.epoch, math.log(self._k))
-        return eta_at(self.config.schedule, t)
+        self._eta_value = None if self._doubling is None else doubling_eta(0, math.log(self._k))
 
     def _choose(self, t):
         eta = self._eta(t)
@@ -836,12 +839,15 @@ class Exp3IP(_LearnerBase):
 
     def _apply(self, chosen, fired, losses, hits, extras):
         pmf, eta = extras
+        if self.algorithm == "exp3":
+            own = fired == chosen - 1
+            fired, losses = fired[own], losses[own]
         if not fired.size and self._doubling is None:
             return  # nothing observed: every step below is a no-op
         q = pmf @ self._table.masked
         self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
         if self._doubling is not None:
-            self._doubling, restart, _ = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
+            self._doubling, restart, self._eta_value = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
             if restart:
                 self._log_weights = np.zeros(self._k)
 
@@ -858,40 +864,14 @@ class Exp3IP(_LearnerBase):
             epoch = int(_snapshot_array(d, "epoch", (), bounds=(0, 1022)))  # 2.0 ** (epoch + 1) must not overflow
             accumulated = float(_snapshot_array(d, "accumulated", (), float, bounds=(0, 2.0**epoch)))  # NaN fails
             self._doubling = DoublingState(epoch, accumulated)
-
-
-class Exp3Dom(Exp3IP):
-    """Uncertainty-ignoring baseline: runs the informative-setting machinery
-    with every edge probability forced to 1, i.e. the nominal graph is taken
-    at face value."""
-
-    algorithm = "exp3-dom"
-
-    def _view(self, graph, probs):
-        return graph, EdgeProbabilityTable.constant(graph, 1.0)
-
-
-class Exp3(Exp3IP):
-    """Classic bandit baseline: assumes self-loop-only feedback with certain
-    observation of the chosen arm, and ignores side observations entirely.
-    When the chosen arm's own loss goes unobserved the round's estimate is
-    zero."""
-
-    algorithm = "exp3"
-
-    def _view(self, graph, probs):
-        bandit = NominalGraph.bandit(graph.num_experts)
-        return bandit, EdgeProbabilityTable.constant(bandit, 1.0)
-
-    def _apply(self, chosen, fired, losses, hits, extras):
-        own = fired == chosen - 1
-        super()._apply(chosen, fired[own], losses[own], hits, extras)
+            self._eta_value = doubling_eta(epoch, math.log(self._k))
 
 
 class _UninformativeBase(_LearnerBase):
     """Shared forced-exploration machinery for the uninformative learners.
-    A subclass gives its per-edge sample store (``_store``) and the loss
-    estimates of a pmf-driven round (``_estimates``)."""
+    A subclass sets its per-edge sample store ``_store`` before this
+    constructor runs, and gives the loss estimates of a pmf-driven round
+    (``_estimates``)."""
 
     def __init__(self, config, graph, probs=None, seed=0):
         super().__init__(config, graph, probs, seed)
@@ -906,11 +886,6 @@ class _UninformativeBase(_LearnerBase):
     def min_observations(self) -> int:
         """The current per-edge sample floor M (epoch-dependent under doubling)."""
         return self._min_obs
-
-    def _eta(self, t: int) -> float:
-        if self._epoch is not None:
-            return self._eta_value
-        return eta_at(self.config.schedule, t)
 
     def _enter_epoch(self, epoch: int | None) -> None:
         """Enter the doubling ``epoch`` (None without doubling) and set all
@@ -929,9 +904,9 @@ class _UninformativeBase(_LearnerBase):
         self._epoch, self._eta_value, self._min_obs, self._xi = epoch, eta, int(floor), xi
         self._deficit = int(np.maximum(self._min_obs - self._explore_counts, 0).sum())
         if up:
-            self._state._track(self._min_obs, xi / math.sqrt(self._min_obs))
+            self._store._track(self._min_obs, xi / math.sqrt(self._min_obs))
         else:
-            self._buffers.grow(self._min_obs)
+            self._store.grow(self._min_obs)
 
     def _exploring(self) -> bool:
         return self._deficit > 0
@@ -1048,26 +1023,20 @@ class Exp3UP(_UninformativeBase):
     builds per-edge sample means, after which losses are importance-weighted
     by an inflated estimate of their observation probability."""
 
-    algorithm = "exp3-up"
-
     def __init__(self, config, graph, probs=None, seed=0):
-        self._state = ProbabilityEstimatorState(graph)  # entering the first epoch tracks the floor on it
+        self._store = ProbabilityEstimatorState(graph)  # entering the first epoch tracks the floor on it
         super().__init__(config, graph, probs, seed)
 
     @property
     def estimator_state(self) -> ProbabilityEstimatorState:
-        return self._state
+        return self._store
 
     @property
     def confidence_width(self) -> float:
         return self._xi
 
-    @property
-    def _store(self):
-        return self._state
-
     def _estimates(self, fired, losses, extras):
-        state = self._state
+        state = self._store
         if state._short:  # no in-edge can be short once every edge holds M samples
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
         return _importance_estimates(losses, _sum(extras[0] * state._divisors[fired], axis=-1))
@@ -1076,8 +1045,8 @@ class Exp3UP(_UninformativeBase):
         k = self._k
         return {
             **super()._fields(),
-            "counts": _Stored(self._state, "counts", (k, k), (0, math.inf)),
-            "sums": _Stored(self._state, "sums", (k, k), (0, "counts")),
+            "counts": _Stored(self._store, "counts", (k, k), (0, math.inf)),
+            "sums": _Stored(self._store, "sums", (k, k), (0, "counts")),
             "confidence_width": self._xi,
         }
 
@@ -1088,44 +1057,39 @@ class Exp3GR(_UninformativeBase):
     first-success trial count that estimates the inverse observation
     probability."""
 
-    algorithm = "exp3-gr"
-
     def __init__(self, config, graph, probs=None, seed=0):
         if isinstance(config.schedule, DoublingSchedule):
             if config.epsilon is None:
                 raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
             if graph.num_experts < 2:
                 raise ConfigError("exp3-gr with the doubling schedule needs K >= 2 (ln K must be positive)")
-        self._buffers = ResampleBuffer(graph, 1)  # entering the first epoch grows it to M
+        self._store = ResampleBuffer(graph, 1)  # entering the first epoch grows it to M
         super().__init__(config, graph, probs, seed)
 
     @property
     def buffers(self) -> ResampleBuffer:
-        return self._buffers
-
-    @property
-    def _store(self):
-        return self._buffers
+        return self._store
 
     def _estimates(self, fired, losses, extras):
-        trials = _resample_targets(extras[1], self._buffers, fired, self._min_obs, self._rng)
+        trials = _resample_targets(extras[1], self._store, fired, self._min_obs, self._rng)
         return _resampled_estimates(losses, trials, self._min_obs)
 
     def _fields(self):
-        return {**super()._fields(), "capacity": self._buffers.capacity}
+        return {**super()._fields(), "capacity": self._store.capacity}
 
     def _extra_state(self):
-        return {**super()._extra_state(), "buffers": self._buffers.samples()}
+        return {**super()._extra_state(), "buffers": self._store.samples()}
 
     def _restore_extra(self, extra):
         super()._restore_extra(extra)
         try:
-            self._buffers = ResampleBuffer.from_samples(self._graph, self._min_obs, _snapshot_field(extra, "buffers"))
+            self._store = ResampleBuffer.from_samples(self._graph, self._min_obs, _snapshot_field(extra, "buffers"))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"snapshot field 'buffers' does not fit the graph: {exc!r}") from None
 
 
-_REGISTRY = {cls.algorithm: cls for cls in (Exp3, Exp3Dom, Exp3IP, Exp3UP, Exp3GR)}
+# Each algorithm's class; the name picks the settings within it.
+_REGISTRY = {"exp3": Exp3IP, "exp3-dom": Exp3IP, "exp3-ip": Exp3IP, "exp3-up": Exp3UP, "exp3-gr": Exp3GR}
 
 
 def make_learner(config: LearnerConfig, graph: NominalGraph, probs=None, seed=0):
@@ -1134,10 +1098,7 @@ def make_learner(config: LearnerConfig, graph: NominalGraph, probs=None, seed=0)
     Only exp3-ip takes (and requires) the edge-probability table; passing it
     to any other learner is a configuration error.
     """
-    cls = _REGISTRY.get(config.algorithm)
-    if cls is None:
-        raise ConfigError(f"unknown algorithm {config.algorithm!r}")
-    return cls(config, graph, probs=probs, seed=seed)
+    return _REGISTRY[config.algorithm](config, graph, probs=probs, seed=seed)
 
 
 def load_snapshot(text: str, graph: NominalGraph, probs=None):

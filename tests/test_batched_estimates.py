@@ -322,7 +322,7 @@ class TestBatchedChecks:
     def test_underfull_window_raises_phase_order_error(self):
         g = NominalGraph.complete(3)
         learner, t = explored_learner("exp3-gr", g)
-        learner._buffers = ResampleBuffer(g, 2)  # windows emptied behind the learner's back
+        learner._store = ResampleBuffer(g, 2)  # windows emptied behind the learner's back
         pick = learner.select(t, g)
         with pytest.raises(PhaseOrderError):
             learner.update(FeedbackEvent(t, pick, ((1, 0.5), (2, 0.5)), 0.5))

@@ -103,6 +103,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="min_observations"):
             small_config(min_observations=floor)
 
+    @pytest.mark.parametrize("field, value", [("confidence_width", 0.5), ("epsilon", 2.0)])
+    def test_learner_config_checks_run_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
     def test_numpy_integer_sample_floor_stored_as_int(self):
         assert type(small_config(min_observations=np.int64(3)).min_observations) is int
 

@@ -17,7 +17,11 @@ from graphbandit.estimator import Pmf, WeightVector, _normalized, sample_index
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
 from graphbandit.oracles import resampling_checks
 from graphbandit.policies import (
+    _REGISTRY,
     ALGORITHMS,
+    Exp3GR,
+    Exp3IP,
+    Exp3UP,
     LearnerConfig,
     ProbabilityEstimatorState,
     ResampleBuffer,
@@ -407,6 +411,40 @@ class TestLearnerConfig:
     def test_epsilon_range(self):
         with pytest.raises(ConfigError, match="epsilon"):
             LearnerConfig("exp3-gr", FixedEta(0.3), epsilon=1.5)
+
+
+class TestSettingsRows:
+    """Each algorithm name is a row of settings on one of three classes."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_make_learner_builds_the_registered_class(self, algorithm):
+        g = NominalGraph.complete(3)
+        config = LearnerConfig(algorithm, FixedEta(0.3))
+        learner = make_learner(config, g, probs=constant_table(g, 0.5) if algorithm == "exp3-ip" else None)
+        assert type(learner) is _REGISTRY[algorithm]
+        assert learner.algorithm == config.algorithm
+
+    @pytest.mark.parametrize("schedule", [InverseSqrtEta(), DoublingSchedule()])
+    @pytest.mark.parametrize("algorithm", ["exp3", "exp3-dom"])
+    def test_informed_view_built_directly_matches_make_learner(self, algorithm, schedule):
+        g = NominalGraph.from_edges(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)])
+        config = LearnerConfig(algorithm, schedule)
+        texts = []
+        for learner in (Exp3IP(config, g, seed=4), make_learner(config, g, seed=4)):
+            run_episode(learner, StochasticGapAdversary(gap=0.1), g, constant_table(g, 0.6), 200, seed=9)
+            texts.append(learner.snapshot())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "cls, algorithm",
+        [(Exp3UP, name) for name in ALGORITHMS if name != "exp3-up"]
+        + [(Exp3GR, name) for name in ALGORITHMS if name != "exp3-gr"]
+        + [(Exp3IP, "exp3-up"), (Exp3IP, "exp3-gr")],
+    )
+    def test_class_rejects_another_familys_config(self, cls, algorithm):
+        g = NominalGraph.complete(3)
+        with pytest.raises(ConfigError, match=f"config says {algorithm!r} but this learner is {cls.__name__}"):
+            cls(LearnerConfig(algorithm, FixedEta(0.3)), g, probs=constant_table(g, 0.5))
 
 
 class TestLearnerProtocol:
@@ -820,6 +858,10 @@ class TestSnapshotValidation:
             ("exp3-up", lambda payload: payload["rng"]["state"].update(counter="7"), "rng"),
             ("exp3-gr", lambda extra: extra.update(buffers=[1, 2]), "buffers"),
             ("exp3-gr", lambda extra: extra["buffers"].update({"5,1": [1]}), "buffers"),
+            ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [[1]]}), "buffers"),
+            ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [True]}), "buffers"),
+            ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [1.0]}), "buffers"),
+            ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [[1, 0]]}), "buffers"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -837,7 +879,8 @@ class TestSnapshotValidation:
              "up-xi-off-schedule", "round-negative", "round-fractional", "round-string", "round-bool",
              "gr-cursor-fractional", "counts-fractional", "sums-missing", "capacity-missing", "extra-missing",
              "ip-accumulated-string", "epsilon-string", "epsilon-bool", "schedule-number", "rng-number",
-             "rng-without-state", "rng-string-counter", "buffers-list", "buffers-unknown-edge"],
+             "rng-without-state", "rng-string-counter", "buffers-list", "buffers-unknown-edge", "ring-nested",
+             "ring-bool", "ring-float", "ring-nested-pair"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)

@@ -106,7 +106,7 @@ def subnormal_q(learner):
         original(self, source, hits)
         self._divisors[self._divisors > 0] = SUBNORMAL
 
-    learner._state._divisors[learner._state._divisors > 0] = SUBNORMAL
+    learner._store._divisors[learner._store._divisors > 0] = SUBNORMAL
     return mock.patch.object(ProbabilityEstimatorState, "_record", record)
 
 
