@@ -23,7 +23,7 @@ from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, run_ep
 from .errors import ConfigError
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import LearnerConfig, _sample_floor, make_learner
+from .policies import LearnerConfig, _integer, make_learner
 from .schedulers import InverseSqrtEta, Schedule
 
 __all__ = [
@@ -76,13 +76,11 @@ class ExperimentConfig:
             raise ConfigError("give exactly one of adversary (synthetic) or bundle (dataset)")
         if self.adversary is not None and self.horizon is None:
             raise ConfigError("synthetic mode needs a horizon")
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        object.__setattr__(self, "min_observations", _sample_floor(self.min_observations))
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
+        object.__setattr__(self, "runs", _integer(self.runs, "runs"))
+        object.__setattr__(self, "min_observations", _integer(self.min_observations, "min_observations"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
         if self.bundle is not None and self.bundle.num_experts != self.graph.num_experts:
             raise ConfigError(
                 f"bundle has {self.bundle.num_experts} experts, graph has {self.graph.num_experts}"

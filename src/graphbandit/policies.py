@@ -11,10 +11,15 @@ Five policies share one interface (``select(t, graph) -> index`` then
 * ``exp3``     - the classic bandit baseline, side observations ignored;
 * ``exp3-dom`` - treats the nominal graph as exact (all edge probabilities 1).
 
-``Exp3IP`` runs exp3-ip on the revealed table, exp3-dom on the nominal graph
-with every probability 1 and exp3 on the self-loop-only bandit graph; only
-exp3-ip takes the edge-probability table.  All expert indices crossing the
-public interface are 1-based.
+Each is Exp3 with exploration over a dominating set, and its settings say how:
+``_dom`` (the set's 0-based positions), ``_share`` (each member's share of
+the exploration mass; None splits it uniformly), a loss estimate and, for
+exp3-up and exp3-gr, the class ``_Store`` of the per-edge sample store.
+``_LearnerBase._choose`` mixes and draws for all five.  ``Exp3IP`` shares by
+expected observations on the revealed table (exp3-ip), on the nominal graph
+with every probability 1 (exp3-dom) or on the self-loop-only bandit graph
+(exp3); only exp3-ip takes the edge-probability table.  Expert indices
+crossing the public interface are 1-based.
 
 A learner's state is plain arrays.  ``run_episode`` hands each round's
 feedback to ``_observe`` as arrays; ``update`` checks a ``FeedbackEvent``
@@ -98,17 +103,21 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        object.__setattr__(self, "min_observations", _sample_floor(self.min_observations))
+        object.__setattr__(self, "min_observations", _integer(self.min_observations, "min_observations"))
         if not self.confidence_width >= 1:
             raise ConfigError(f"confidence_width must be >= 1, got {self.confidence_width}")
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
             raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if self.algorithm == "exp3-gr" and isinstance(self.schedule, DoublingSchedule) and self.epsilon is None:
+            raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
 
 
-def _sample_floor(value) -> int:
-    """A config's ``min_observations``, an integer >= 1 (not a bool), as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError(f"min_observations must be an integer >= 1, got {value!r}")
+def _integer(value, name: str, least: int = 1) -> int:
+    """``value``, an integer >= ``least`` (numpy's too, not a bool), as an
+    int; anything else raises ConfigError naming the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return int(value)
 
 
@@ -123,24 +132,18 @@ def _check_eta(eta: float) -> float:
     return float(eta)
 
 
-@dataclass(frozen=True)
-class _GraphTable:
-    """The per-round quantities that depend only on one (graph, table,
-    dominating set) triple, computed once for it."""
-
-    masked: np.ndarray  # edge probabilities, 0 on non-edges
-    dom: np.ndarray  # 0-based dominating-set positions
-    dom_share: np.ndarray  # each member's share of the expected observations
-
-    @classmethod
-    def build(cls, graph: NominalGraph, probs: EdgeProbabilityTable, dominating: VertexSet) -> "_GraphTable":
-        masked = np.where(graph.adjacency, probs.probs, 0.0)
-        expected = masked.sum(axis=1)
-        dom = _positions(dominating)
-        total = expected[dom].sum()
-        if total <= 0:
-            raise InvariantError("dominating set has zero expected observations")
-        return cls(masked=masked, dom=dom, dom_share=expected[dom] / total)
+def _informed_table(graph: NominalGraph, probs: EdgeProbabilityTable, dominating: VertexSet):
+    """The informed learner's per-(graph, table, dominating set) arrays,
+    computed once: the edge probabilities with 0 on non-edges, the 0-based
+    dominating-set positions and each member's share of their expected
+    observations."""
+    masked = np.where(graph.adjacency, probs.probs, 0.0)
+    expected = masked.sum(axis=1)
+    dom = _positions(dominating)
+    total = expected[dom].sum()
+    if total <= 0:
+        raise InvariantError("dominating set has zero expected observations")
+    return masked, dom, expected[dom] / total
 
 
 def _positions(members: VertexSet) -> np.ndarray:
@@ -160,27 +163,20 @@ def exp3ip_pmf(
     dominating set proportionally to each member's expected number of
     revealed losses.
     """
-    return Pmf(_informed_mix(weights.log_weights, eta, _GraphTable.build(graph, probs, dominating)))
-
-
-def _informed_mix(log_weights: np.ndarray, eta: float, table: _GraphTable) -> np.ndarray:
-    """The informed selection vector before ``Pmf``'s check-and-normalize."""
-    eta = _check_eta(eta)
-    base = _softmax(log_weights)
-    if base.size != table.masked.shape[0]:
+    _, dom, share = _informed_table(graph, probs, dominating)
+    if weights.log_weights.size != graph.num_experts:
         raise ValueError("weight vector and graph disagree on the number of experts")
-    out = (1.0 - eta) * base
-    out[table.dom] += eta * table.dom_share
-    return out
+    return Pmf(_mix(weights.log_weights, eta, dom, share))
 
 
-def _uniform_mix(log_weights: np.ndarray, eta: float, dom: np.ndarray) -> np.ndarray:
-    """Selection vector for the uninformative setting, before ``Pmf``'s
-    check-and-normalize: exploration mass is spread uniformly over the
-    0-based dominating-set positions ``dom``."""
+def _mix(log_weights: np.ndarray, eta: float, dom: np.ndarray, share: np.ndarray | None) -> np.ndarray:
+    """The selection vector before ``Pmf``'s check-and-normalize: the
+    softmax of ``log_weights`` mixed with exploration mass ``eta`` over the
+    0-based dominating-set positions ``dom``, split by ``share`` (the
+    informed learner's) or, when it is None, uniformly."""
     eta = _check_eta(eta)
     out = (1.0 - eta) * _softmax(log_weights)
-    out[dom] += eta / dom.size
+    out[dom] += eta / dom.size if share is None else eta * share
     return out
 
 
@@ -286,12 +282,24 @@ def estimated_observation_prob(
     exceed 1 (only ever used as a divisor).  Raises if any in-edge has fewer
     than ``min_observations`` samples.
     """
-    if not 1 <= i <= graph.num_experts:
-        raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    _sample_floor(min_observations)
+    _check_view(i, pmf, graph, state, min_observations)
     _check_in_edges(graph, state.counts, min_observations, np.array([i - 1]))
     divisors = _inflated_divisors(graph.adjacency, state.estimates, confidence_width / math.sqrt(min_observations))
     return float((pmf.probs * divisors[i - 1]).sum())
+
+
+def _check_view(i: int, pmf: Pmf, graph: NominalGraph, store, min_observations: int) -> None:
+    """Raise unless an estimate view's arguments agree: expert ``i`` in 1..K,
+    a K-entry ``pmf``, a sample floor that is an integer >= 1 and a per-edge
+    sample ``store`` built on ``graph``."""
+    k = graph.num_experts
+    if not 1 <= i <= k:
+        raise ValueError(f"expert index {i} out of range 1..{k}")
+    if pmf.probs.size != k:
+        raise ValueError(f"the pmf has {pmf.probs.size} entries, the graph {k} experts")
+    _integer(min_observations, "min_observations")
+    if store._graph != graph:
+        raise ValueError(f"the {type(store).__name__} belongs to a different graph")
 
 
 def _check_in_edges(graph: NominalGraph, counts: np.ndarray, min_observations: int, targets: np.ndarray) -> None:
@@ -329,10 +337,10 @@ class ResampleBuffer:
     n samples written, the next lands in column n mod capacity, so a full
     ring overwrites its oldest sample.  The array is only as wide as the
     fullest ring needs (it doubles on demand, up to the capacity), so its
-    size follows the samples held, not the capacity.  A source's out-edges
-    are a contiguous range of ids, targets ascending.  The buffer counts the
-    edges whose rings are not yet full, so a window check costs O(1) once
-    every ring is.
+    size follows the samples held, not the capacity (1 unless given; ``grow``
+    raises it).  A source's out-edges are a contiguous range of ids, targets
+    ascending.  The buffer counts the edges whose rings are not yet full, so
+    a window check costs O(1) once every ring is.
 
     Four tables built once per graph lay out resampling: target j's block
     size (a draw row, then one row per in-edge, sources ascending) and, at
@@ -340,7 +348,7 @@ class ResampleBuffer:
     the edge read (the self-loop stands in for a non-edge) and the in-edge mask.
     """
 
-    def __init__(self, graph: NominalGraph, capacity: int):
+    def __init__(self, graph: NominalGraph, capacity: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._graph = graph
@@ -567,11 +575,7 @@ def geometric_resample(
     Returns the capped count of trials until the first simulated observation,
     a value in [1, M] whose expectation is (1 - (1 - q)^M) / q.
     """
-    if not 1 <= i <= graph.num_experts:
-        raise ValueError(f"expert index {i} out of range 1..{graph.num_experts}")
-    _sample_floor(min_observations)
-    if buffers.graph != graph:
-        raise ValueError("the buffers belong to a different graph")
+    _check_view(i, pmf, graph, buffers, min_observations)
     return int(_resample_targets(_cumsum(pmf.probs), buffers, np.array([i - 1]), min_observations, rng)[0])
 
 
@@ -686,10 +690,14 @@ class _LearnerBase:
         self._pending = None
         self._round = t
 
-    # -- hooks ------------------------------------------------------------
-
     def _choose(self, t):
-        raise NotImplementedError
+        """Round ``t``'s pmf-driven choice, the one mix and draw of every
+        learner: the weights mixed with exploration over the 0-based
+        dominating-set positions ``_dom``, split by ``_share`` (None splits
+        it uniformly).  Returns the choice and (pmf, its running sum, rate)."""
+        eta = self._eta(t)
+        choice, pmf, cum = self._sample(_mix(self._log_weights, eta, self._dom, self._share))
+        return choice, (pmf, cum, eta)
 
     def _apply(self, chosen, fired, losses, hits, extras):
         raise NotImplementedError
@@ -828,23 +836,18 @@ class Exp3IP(_LearnerBase):
             graph = NominalGraph.bandit(self._k)
         if self.algorithm != "exp3-ip":
             probs = EdgeProbabilityTable.constant(graph, 1.0)
-        self._table = _GraphTable.build(graph, probs, greedy_dominating_set(graph))
+        self._masked, self._dom, self._share = _informed_table(graph, probs, greedy_dominating_set(graph))
         self._doubling = DoublingState() if isinstance(config.schedule, DoublingSchedule) else None
         self._eta_value = None if self._doubling is None else doubling_eta(0, math.log(self._k))
 
-    def _choose(self, t):
-        eta = self._eta(t)
-        choice, pmf, _ = self._sample(_informed_mix(self._log_weights, eta, self._table))
-        return choice, (pmf, eta)
-
     def _apply(self, chosen, fired, losses, hits, extras):
-        pmf, eta = extras
+        pmf, _, eta = extras
         if self.algorithm == "exp3":
             own = fired == chosen - 1
             fired, losses = fired[own], losses[own]
         if not fired.size and self._doubling is None:
             return  # nothing observed: every step below is a no-op
-        q = pmf @ self._table.masked
+        q = pmf @ self._masked
         self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
         if self._doubling is not None:
             self._doubling, restart, self._eta_value = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
@@ -869,12 +872,16 @@ class Exp3IP(_LearnerBase):
 
 class _UninformativeBase(_LearnerBase):
     """Shared forced-exploration machinery for the uninformative learners.
-    A subclass sets its per-edge sample store ``_store`` before this
-    constructor runs, and gives the loss estimates of a pmf-driven round
-    (``_estimates``)."""
+    A subclass names its per-edge sample store's class ``_Store``, which this
+    constructor builds on the graph as ``_store``, and gives the loss
+    estimates of a pmf-driven round (``_estimates``).  Exploration mass is
+    spread uniformly over the dominating set (``_share`` is None)."""
+
+    _share = None
 
     def __init__(self, config, graph, probs=None, seed=0):
         super().__init__(config, graph, probs, seed)
+        self._store = self._Store(graph)  # entering the first epoch sets its floor
         self._dominating = greedy_dominating_set(graph)
         self._dom = _positions(self._dominating)
         self._explore_counts = np.zeros(self._k, dtype=np.int64)
@@ -923,9 +930,7 @@ class _UninformativeBase(_LearnerBase):
         self._advance_epochs(t)
         if self._exploring():
             return self._next_exploration(), None
-        eta = self._eta(t)
-        choice, pmf, cum = self._sample(_uniform_mix(self._log_weights, eta, self._dom))
-        return choice, (pmf, cum, eta)
+        return super()._choose(t)
 
     def _explored(self, chosen: int) -> None:
         """Count a forced-exploration round of ``chosen``, which was short."""
@@ -1023,9 +1028,7 @@ class Exp3UP(_UninformativeBase):
     builds per-edge sample means, after which losses are importance-weighted
     by an inflated estimate of their observation probability."""
 
-    def __init__(self, config, graph, probs=None, seed=0):
-        self._store = ProbabilityEstimatorState(graph)  # entering the first epoch tracks the floor on it
-        super().__init__(config, graph, probs, seed)
+    _Store = ProbabilityEstimatorState
 
     @property
     def estimator_state(self) -> ProbabilityEstimatorState:
@@ -1057,14 +1060,7 @@ class Exp3GR(_UninformativeBase):
     first-success trial count that estimates the inverse observation
     probability."""
 
-    def __init__(self, config, graph, probs=None, seed=0):
-        if isinstance(config.schedule, DoublingSchedule):
-            if config.epsilon is None:
-                raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
-            if graph.num_experts < 2:
-                raise ConfigError("exp3-gr with the doubling schedule needs K >= 2 (ln K must be positive)")
-        self._store = ResampleBuffer(graph, 1)  # entering the first epoch grows it to M
-        super().__init__(config, graph, probs, seed)
+    _Store = ResampleBuffer
 
     @property
     def buffers(self) -> ResampleBuffer:

@@ -165,7 +165,7 @@ def gr_doubling_params(b: int, num_experts: int, dom_size: int, epsilon: float) 
     """
     k = int(num_experts)
     if k < 2:
-        raise ValueError("the resampling schedule needs K >= 2 (ln K must be positive)")
+        raise ConfigError("exp3-gr with the doubling schedule needs K >= 2 (ln K must be positive)")
     if b < 0:
         raise ValueError(f"epoch must be >= 0, got {b}")
     if dom_size < 1:

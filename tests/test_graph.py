@@ -13,7 +13,7 @@ from graphbandit.graph import (
     independence_number,
     load_graph_file,
 )
-from graphbandit.policies import _GraphTable
+from graphbandit.policies import _informed_table
 
 
 class TestConstruction:
@@ -155,7 +155,7 @@ class TestIndependenceNumber:
 
 def expected_observations(graph, probs, i):
     """Expected losses revealed when i is chosen: row i of the learners' masked table, summed."""
-    return _GraphTable.build(graph, probs, greedy_dominating_set(graph)).masked.sum(axis=1)[i - 1]
+    return _informed_table(graph, probs, greedy_dominating_set(graph))[0].sum(axis=1)[i - 1]
 
 
 class TestExpectedObservations:

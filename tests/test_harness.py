@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ class TestConfigValidation:
 
     def test_numpy_integer_sample_floor_stored_as_int(self):
         assert type(small_config(min_observations=np.int64(3)).min_observations) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", 10.5), ("horizon", True), ("horizon", "10"), ("runs", 2.5), ("runs", True),
+         ("runs", np.bool_(True)), ("seed", True)],
+    )
+    def test_integer_fields_checked_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            small_config(**{field: value})
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        cfg = small_config(horizon=np.int64(20), runs=np.int32(2), seed=np.uint8(3))
+        assert [type(value) for value in (cfg.horizon, cfg.runs, cfg.seed)] == [int, int, int]
+        json.dumps({"horizon": cfg.horizon, "runs": cfg.runs, "seed": cfg.seed})  # as meta.json writes them
+        assert run_experiment(cfg).runs() == 2
 
     def test_bad_probability_generator(self):
         with pytest.raises(ConfigError):

@@ -26,7 +26,7 @@ from graphbandit.policies import (
     ProbabilityEstimatorState,
     ResampleBuffer,
     _resampled_estimates,
-    _uniform_mix,
+    _mix,
     estimated_observation_prob,
     exp3ip_pmf,
     geometric_resample,
@@ -45,7 +45,7 @@ def constant_table(graph, value):
 
 def uniform_mix_pmf(log_weights, eta, dominating):
     """The uninformative learners' selection pmf for 1-based dominating-set members."""
-    return _normalized(_uniform_mix(np.asarray(log_weights, dtype=float), eta, np.array(dominating) - 1))
+    return _normalized(_mix(np.asarray(log_weights, dtype=float), eta, np.array(dominating) - 1, None))
 
 
 class TestSelectionPmfs:
@@ -246,6 +246,18 @@ class TestEstimatedObservationProb:
         with pytest.raises(PhaseOrderError):
             estimated_observation_prob(Pmf(np.array([0.5, 0.5])), g, state, 1.0, 25, 1)
 
+    def test_inputs_from_another_graph_rejected(self):
+        # Every edge of complete K=3 holds M=4 samples, one of them a hit: 0.25 + 1/sqrt(4) per in-edge.
+        g = NominalGraph.complete(3)
+        state = self._state_with(g, np.full((3, 3), 4), np.full((3, 3), 0.25))
+        pmf = Pmf(np.full(3, 1 / 3))
+        assert estimated_observation_prob(pmf, g, state, 1.0, 4, 1) == pytest.approx(0.75)
+        with pytest.raises(ValueError, match="the ProbabilityEstimatorState belongs to a different graph"):
+            estimated_observation_prob(pmf, NominalGraph.bandit(3), state, 1.0, 4, 1)
+        for n in (2, 4):
+            with pytest.raises(ValueError, match=f"the pmf has {n} entries, the graph 3 experts"):
+                estimated_observation_prob(Pmf(np.full(n, 1 / n)), g, state, 1.0, 4, 1)
+
     def test_can_exceed_one_and_is_never_clamped(self):
         g = NominalGraph.bandit(1)
         state = ProbabilityEstimatorState(g)
@@ -309,6 +321,16 @@ class TestGeometricResample:
         pmf = Pmf(np.array([0.2, 0.5, 0.3]))
         for i in range(1, 4):
             assert geometric_resample(i, pmf, g, buffers, 4, rng) == 4
+
+    def test_inputs_from_another_graph_rejected(self):
+        g = NominalGraph.complete(3)
+        buffers = self._filled_buffer(g, 4, np.ones(3))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="the ResampleBuffer belongs to a different graph"):
+            geometric_resample(1, Pmf(np.full(3, 1 / 3)), NominalGraph.bandit(3), buffers, 4, rng)
+        for n in (2, 4, 6):
+            with pytest.raises(ValueError, match=f"the pmf has {n} entries, the graph 3 experts"):
+                geometric_resample(1, Pmf(np.full(n, 1 / n)), g, buffers, 4, rng)
 
     def test_underfull_buffer_rejected(self):
         g = NominalGraph.bandit(2)
@@ -412,6 +434,10 @@ class TestLearnerConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             LearnerConfig("exp3-gr", FixedEta(0.3), epsilon=1.5)
 
+    def test_resampling_doubling_needs_epsilon_in_the_config(self):
+        with pytest.raises(ConfigError, match=r"^exp3-gr with the doubling schedule needs epsilon"):
+            LearnerConfig("exp3-gr", DoublingSchedule())
+
 
 class TestSettingsRows:
     """Each algorithm name is a row of settings on one of three classes."""
@@ -445,6 +471,16 @@ class TestSettingsRows:
         g = NominalGraph.complete(3)
         with pytest.raises(ConfigError, match=f"config says {algorithm!r} but this learner is {cls.__name__}"):
             cls(LearnerConfig(algorithm, FixedEta(0.3)), g, probs=constant_table(g, 0.5))
+
+    @pytest.mark.parametrize(
+        "cls, config, k",
+        [(Exp3GR, LearnerConfig("exp3-up", DoublingSchedule()), 3),
+         (Exp3GR, LearnerConfig("exp3-up", DoublingSchedule(), epsilon=0.5), 1),
+         (Exp3UP, LearnerConfig("exp3-gr", DoublingSchedule(), epsilon=0.5), 3)],
+    )
+    def test_registry_check_runs_before_the_doubling_checks(self, cls, config, k):
+        with pytest.raises(ConfigError, match=f"config says {config.algorithm!r} but this learner is {cls.__name__}"):
+            cls(config, NominalGraph.complete(k))
 
 
 class TestLearnerProtocol:

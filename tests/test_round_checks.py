@@ -16,7 +16,6 @@ raise the error type and message it always raised:
 """
 
 import contextlib
-import dataclasses
 import math
 from unittest import mock
 
@@ -97,8 +96,7 @@ def subnormal_q(learner):
     """Make every observation probability ``learner`` divides by subnormal:
     the informed learners' table, or exp3-up's divisors after each record."""
     if learner.algorithm != "exp3-up":
-        masked = np.where(learner._table.masked > 0, SUBNORMAL, 0.0)
-        learner._table = dataclasses.replace(learner._table, masked=masked)
+        learner._masked = np.where(learner._masked > 0, SUBNORMAL, 0.0)
         return contextlib.nullcontext()
     original = ProbabilityEstimatorState._record
 

@@ -87,6 +87,11 @@ class TestGrDoublingParams:
         assert gr_doubling_params(5, 4, 2, 0.25)[1] == math.ceil(2 * raw)
         assert gr_doubling_params(5, 4, 4, 0.25)[1] == math.ceil(4 * raw)
 
+    def test_one_expert_rejected_as_a_config_error(self):
+        message = r"^exp3-gr with the doubling schedule needs K >= 2 \(ln K must be positive\)$"
+        with pytest.raises(ConfigError, match=message):
+            gr_doubling_params(0, 1, 1, 0.5)
+
     def test_epsilon_required(self):
         with pytest.raises(ValueError, match="epsilon"):
             gr_doubling_params(3, 4, 1, 0.0)
