@@ -55,16 +55,11 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_prob_generator(text: str) -> tuple:
-    kind, colon, body = text.partition(":")
-    values = body.split(",") if kind == "uniform" else [body]
-    if colon and kind in ("equal", "uniform"):
-        if len(values) != 2 and kind == "uniform":
-            raise ConfigError(f"uniform needs two values, got {text!r}")
-        try:
-            return (kind, *[float(value) for value in values])
-        except ValueError as exc:
-            raise ConfigError(f"bad probability spec {text!r}") from exc
-    raise ConfigError(f"bad probability spec {text!r}; expected equal:<v> or uniform:<lo>,<hi>")
+    kind, _, body = text.partition(":")
+    try:
+        return (kind, *map(float, body.split(",")))
+    except ValueError:
+        raise ConfigError(f"bad probability spec {text!r}; expected equal:<v> or uniform:<lo>,<hi>") from None
 
 
 def _parse_adversary(text: str):
@@ -84,20 +79,21 @@ def _parse_adversary(text: str):
     raise ConfigError(f"bad adversary spec {text!r}; expected gap:<g>, switching:<g>,<period>, or table:<csv>")
 
 
-def _resolve_graph(args, num_experts: int | None):
-    """Graph plus any probabilities carried by a graph file."""
+def _resolve_graph(args, num_experts: int | None) -> NominalGraph:
+    """The graph, from a shorthand or a graph file; a file's probabilities are refused for ``--p``."""
     if num_experts is not None and num_experts < 1:
         raise ConfigError(f"--K must be >= 1, got {num_experts}")
     if args.graph in ("complete", "bandit"):
         if num_experts is None:
             raise ConfigError(f"--graph {args.graph} needs --K")
-        return (NominalGraph.complete if args.graph == "complete" else NominalGraph.bandit)(num_experts), None
-    return load_graph_file(args.graph)
+        return (NominalGraph.complete if args.graph == "complete" else NominalGraph.bandit)(num_experts)
+    graph, probs = load_graph_file(args.graph)
+    if probs is not None:
+        raise ConfigError(f"{args.graph} carries probabilities; use --p to control them instead")
+    return graph
 
 
-def _build_config(args, graph, file_probs, adversary=None, bundle=None, horizon=None) -> ExperimentConfig:
-    if file_probs is not None:
-        raise ConfigError("graph file carries probabilities; use --p to control them instead")
+def _build_config(args, graph, adversary=None, bundle=None, horizon=None) -> ExperimentConfig:
     return ExperimentConfig(
         algorithms=tuple(args.algo),
         graph=graph,
@@ -136,9 +132,9 @@ def _finish(result, cfg, args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    graph, file_probs = _resolve_graph(args, args.num_experts)
+    graph = _resolve_graph(args, args.num_experts)
     adversary = _parse_adversary(args.adversary)
-    cfg = _build_config(args, graph, file_probs, adversary=adversary, horizon=args.horizon)
+    cfg = _build_config(args, graph, adversary=adversary, horizon=args.horizon)
     result = run_experiment(cfg)
     _finish(result, cfg, args)
     return 0
@@ -151,8 +147,8 @@ def _cmd_dataset(args) -> int:
     dataset = load_csv(args.data, target, normalize=not args.no_normalize, split=args.split)
     pool = train_expert_pool(dataset)
     bundle = build_dataset_bundle(dataset, pool)
-    graph, file_probs = _resolve_graph(args, bundle.num_experts)
-    cfg = _build_config(args, graph, file_probs, bundle=bundle, horizon=args.horizon)
+    graph = _resolve_graph(args, bundle.num_experts)
+    cfg = _build_config(args, graph, bundle=bundle, horizon=args.horizon)
     result = run_experiment(cfg)
     _finish(result, cfg, args)
     return 0

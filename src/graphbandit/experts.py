@@ -4,7 +4,7 @@ per-round loss generation from prediction errors.
 The pool is always nine experts: five RBF kernel ridge models (bandwidths
 0.01, 0.1, 1, 10, 100), three Laplacian kernel ridge models (bandwidths
 0.01, 1, 100), and one ordinary least-squares model.  Kernel ridge solves
-(G + ridge * I) a = y on the training prefix with ridge = 1 by default.
+(G + I) a = y on the training prefix: ridge 1, the same for every model.
 Kernel models that share a training array share its distances: the Gram
 matrices come from one distance matrix per kind, and prediction builds each
 64-row block's distances once for every bandwidth.  The Laplacian's
@@ -325,7 +325,7 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
         raise IngestError(f"{path}: {exc}") from exc
 
 
-def _fit_kernel_ridges(kind: str, bandwidths, x: np.ndarray, y: np.ndarray, ridge: float) -> list[KernelRidgeExpert]:
+def _fit_kernel_ridges(kind: str, bandwidths, x: np.ndarray, y: np.ndarray) -> list[KernelRidgeExpert]:
     """One kernel ridge model per bandwidth on the training rows ``x``; the
     distance matrix is built once and the models share ``x``."""
     dist = np.vstack([d for _, d in _distance_blocks(kind, x, x)])
@@ -333,7 +333,7 @@ def _fit_kernel_ridges(kind: str, bandwidths, x: np.ndarray, y: np.ndarray, ridg
     models = []
     for bandwidth in bandwidths:
         gram = _exp_kernel(kind, bandwidth, dist, dmax)
-        coef = np.linalg.solve(gram + ridge * np.eye(len(x)), y)
+        coef = np.linalg.solve(gram + np.eye(len(x)), y)  # ridge 1
         models.append(KernelRidgeExpert(kind=kind, bandwidth=bandwidth, train_features=x, coef=coef))
     return models
 
@@ -344,24 +344,24 @@ def _fit_linear(x: np.ndarray, y: np.ndarray) -> LinearExpert:
     return LinearExpert(coef=sol[:-1], intercept=float(sol[-1]))
 
 
-def train_expert_pool(dataset: Dataset, ridge: float = 1.0, max_kernel_rows: int = MAX_KERNEL_TRAIN_ROWS) -> list:
+def train_expert_pool(dataset: Dataset) -> list:
     """Train the nine-expert pool on the dataset's training prefix.
 
-    Kernel models see at most ``max_kernel_rows`` prefix rows (evenly
-    subsampled when the prefix is larger); the linear model uses the full
-    prefix.  Deterministic.
+    Kernel models solve with ridge 1 and see at most ``MAX_KERNEL_TRAIN_ROWS``
+    prefix rows (evenly subsampled when the prefix is larger); the linear
+    model uses the full prefix.  Deterministic.
     """
     x, y = dataset.training_rows()
     if len(y) < 10:
         raise IngestError(f"training prefix has {len(y)} rows; need at least 10")
-    if len(y) > max_kernel_rows:
-        keep = np.linspace(0, len(y) - 1, max_kernel_rows).round().astype(int)
+    if len(y) > MAX_KERNEL_TRAIN_ROWS:
+        keep = np.linspace(0, len(y) - 1, MAX_KERNEL_TRAIN_ROWS).round().astype(int)
         kx, ky = x[keep], y[keep]
     else:
         kx, ky = x.copy(), y
     return [
-        *_fit_kernel_ridges("rbf", RBF_BANDWIDTHS, kx, ky, ridge),
-        *_fit_kernel_ridges("laplacian", LAPLACIAN_BANDWIDTHS, kx, ky, ridge),
+        *_fit_kernel_ridges("rbf", RBF_BANDWIDTHS, kx, ky),
+        *_fit_kernel_ridges("laplacian", LAPLACIAN_BANDWIDTHS, kx, ky),
         _fit_linear(x, y),
     ]
 

@@ -151,6 +151,8 @@ class EdgeProbabilityTable:
 
     @classmethod
     def constant(cls, graph: NominalGraph, value: float) -> "EdgeProbabilityTable":
+        if not 0 < value <= 1:
+            raise ValueError(f"need 0 < p <= 1, got {value}")
         probs = np.where(graph.adjacency, float(value), 0.0)
         return cls.from_probs(graph, probs, epsilon=float(value))
 

@@ -41,8 +41,8 @@ class ExperimentConfig:
 
     Exactly one of ``adversary`` (synthetic mode, metric = cumulative regret)
     or ``bundle`` (dataset mode, metric = running MSE of the chosen expert's
-    predictions) must be given.  ``prob_generator`` is ``("equal", p)`` or
-    ``("uniform", lo, hi)``; uniform tables are drawn once per run.
+    predictions) must be given.  ``prob_generator`` takes two forms, ``("equal", p)``
+    or ``("uniform", lo, hi)`` (drawn once per run); construction builds run 0's table.
     """
 
     algorithms: tuple[str, ...]
@@ -81,27 +81,18 @@ class ExperimentConfig:
         object.__setattr__(self, "runs", _integer(self.runs, "runs"))
         object.__setattr__(self, "min_observations", _integer(self.min_observations, "min_observations"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
-        if self.bundle is not None and self.bundle.num_experts != self.graph.num_experts:
-            raise ConfigError(
-                f"bundle has {self.bundle.num_experts} experts, graph has {self.graph.num_experts}"
-            )
-        kind = self.prob_generator[0] if self.prob_generator else None
-        if kind == "equal":
-            _, value = self.prob_generator
-            if not 0 < value <= 1:
-                raise ConfigError(f"equal(p) needs p in (0, 1], got {value}")
-        elif kind == "uniform":
-            _, lo, hi = self.prob_generator
-            if not 0 < lo <= hi <= 1:
-                raise ConfigError(f"uniform(lo, hi) needs 0 < lo <= hi <= 1, got ({lo}, {hi})")
-        elif kind == "table":
-            _, matrix = self.prob_generator
+        if self.bundle is not None:  # the arrays the metric reads, then the loss table as every job serves it
+            shapes, k = (np.shape(self.bundle.predictions), np.shape(self.bundle.truths)), self.graph.num_experts
+            if shapes != ((k, self.bundle.horizon), (self.bundle.horizon,)):
+                raise ConfigError(f"bad dataset bundle: predictions {shapes[0]}, truths {shapes[1]}; need ({k}, T), (T,)")
             try:
-                EdgeProbabilityTable.from_probs(self.graph, matrix)
+                _adversary(self).materialize(self.effective_horizon, k, None)
             except ValueError as exc:
-                raise ConfigError(f"explicit probability table invalid: {exc}") from exc
-        else:
-            raise ConfigError(f"bad probability generator {self.prob_generator!r}")
+                raise ConfigError(f"bad dataset bundle: {exc}") from exc
+        try:  # _probability_table alone reads the generator: build run 0's table with it
+            _probability_table(self, 0)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad probability generator {self.prob_generator!r}: {exc}") from exc
 
     @property
     def metric(self) -> str:
@@ -159,14 +150,18 @@ def checkpoint_rounds(horizon: int) -> np.ndarray:
 
 
 def _probability_table(cfg: ExperimentConfig, run: int) -> EdgeProbabilityTable:
-    kind = cfg.prob_generator[0]
-    if kind == "equal":
-        return EdgeProbabilityTable.constant(cfg.graph, cfg.prob_generator[1])
-    if kind == "table":
-        return EdgeProbabilityTable.from_probs(cfg.graph, cfg.prob_generator[1])
-    _, lo, hi = cfg.prob_generator
-    rng = substream((cfg.seed, run), PROBS_STREAM)
-    return EdgeProbabilityTable.uniform(cfg.graph, lo, hi, rng)
+    """Run ``run``'s edge probabilities: ``("equal", p)``, or ``("uniform", lo, hi)`` from its own stream."""
+    kind, *values = cfg.prob_generator or (None,)
+    if (kind, len(values)) == ("equal", 1):
+        return EdgeProbabilityTable.constant(cfg.graph, *values)
+    if (kind, len(values)) == ("uniform", 2):
+        return EdgeProbabilityTable.uniform(cfg.graph, *values, substream((cfg.seed, run), PROBS_STREAM))
+    raise ValueError("expected ('equal', p) or ('uniform', lo, hi)")
+
+
+def _adversary(cfg: ExperimentConfig):
+    """The episodes' adversary: the synthetic one, or the dataset's loss table served as a fixed table."""
+    return cfg.adversary if cfg.bundle is None else FixedTableAdversary(cfg.bundle.loss_table[: cfg.effective_horizon])
 
 
 def _learner_config(cfg: ExperimentConfig, algorithm: str) -> LearnerConfig:
@@ -183,10 +178,9 @@ def _execute_job(job) -> tuple[int, str, np.ndarray, str]:
     cfg, run, algorithm, probs = job
     horizon = cfg.effective_horizon
     checkpoints = checkpoint_rounds(horizon)
-    adversary = cfg.adversary if cfg.bundle is None else FixedTableAdversary(cfg.bundle.loss_table[:horizon])
     learner_probs = probs if algorithm == "exp3-ip" else None
     learner = make_learner(_learner_config(cfg, algorithm), cfg.graph, probs=learner_probs, seed=0)
-    trace = run_episode(learner, adversary, cfg.graph, probs, horizon, seed=(cfg.seed, run))
+    trace = run_episode(learner, _adversary(cfg), cfg.graph, probs, horizon, seed=(cfg.seed, run))
     digest = hashlib.sha256(np.ascontiguousarray(trace.loss_table)).hexdigest()
 
     if cfg.metric == "regret":

@@ -8,9 +8,11 @@ chunks and compare the sample means against the closed-form expectations:
 * the capped resampling count has E[Q] = (1 - (1 - q)^M) / q, and the
   resampled loss estimate has E[l_tilde] = (1 - (1 - q)^M) * l.
 
-The batch paths reuse the same kernels the per-round learners call
-(observation probabilities, the pmf sampler, the resampling trial kernel),
-so a failing check indicts the production code, not a reimplementation.
+The batch paths reuse the learners' kernels for the observation
+probabilities, the pmf sampler and the resampling trials, so a failing check
+indicts the production code.  The activations are the oracle's own: the
+ip checks draw K uniforms per repetition, where the episodes' ``_fire`` draws
+one per out-edge of the chosen expert.
 
 A chunk's random arrays are drawn and used ``_TRIAL_BLOCK`` repetitions at a
 time, each region of its stream read through a generator copy at the
@@ -30,7 +32,7 @@ import numpy as np
 
 from .estimator import Pmf, _skip_doubles, sample_positions
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import _resample_trials, observation_probs
+from .policies import _integer, _resample_trials, observation_probs
 
 __all__ = ["MomentCheck", "ip_estimator_checks", "resampling_checks", "default_suite"]
 
@@ -73,12 +75,6 @@ def _moment(name: str, total: float, total_sq: float, n: int, expected: float) -
     return MomentCheck(name=name, observed=mean, expected=expected, stderr=math.sqrt(var / n), draws=n)
 
 
-def _require_positive(**values: int) -> None:
-    for name, value in values.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-
-
 def _readers(rng: np.random.Generator, *sizes: int) -> list[np.random.Generator]:
     """A copy of ``rng`` at the start of each of the consecutive regions of
     ``sizes`` doubles in its stream; ``rng`` moves past them all."""
@@ -104,7 +100,7 @@ def ip_estimator_checks(
     independently, and importance-weights every observed loss by its exact
     observation probability.  Returns first- and second-moment checks per arm.
     """
-    _require_positive(draws=draws, chunk=chunk)
+    draws, chunk = _integer(draws, "draws"), _integer(chunk, "chunk")
     losses = np.asarray(losses, dtype=float)
     k = graph.num_experts
     if losses.shape != (k,):
@@ -152,7 +148,7 @@ def resampling_checks(
     """
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    _require_positive(draws=draws, chunk=chunk, window=window)
+    draws, chunk, window = _integer(draws, "draws"), _integer(chunk, "chunk"), _integer(window, "window")
     cum = np.array([1.0])  # point-mass selection on the single expert
     sum_q = sum_q2 = 0.0
     sum_l = sum_l2 = 0.0

@@ -71,6 +71,13 @@ class TestSimulate:
     def test_bad_probability_spec(self):
         assert run_cli(["simulate", "--algo", "exp3", "--K", "3", "--T", "10", "--p", "exact:1"]) == 2
 
+    def test_graph_file_with_probabilities_is_config_error(self, tmp_path, capsys):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("K=2\nedge 1 1 0.5\nedge 2 2 0.5\nedge 1 2 0.5\n")
+        code = run_cli(["simulate", "--algo", "exp3-dom", "--graph", str(graph_file), "--T", "10", "--runs", "1"])
+        assert code == 2
+        assert "carries probabilities" in capsys.readouterr().err
+
     def test_table_adversary(self, tmp_path):
         table = tmp_path / "losses.csv"
         rows = np.random.default_rng(0).random((50, 2))
@@ -120,11 +127,19 @@ SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
          "training prefix has 4 rows; need at least 10"),
         (["simulate", "--algo", "exp3-gr", "--K", "1", "--T", "10", "--runs", "1", "--uninformative",
           "--schedule", "doubling", "--epsilon", "0.5"], "the doubling schedule needs K >= 2"),
+        (SIMULATE + ["--K", "2", "--p", "exact:1"], "bad probability generator ('exact', 1.0): expected"),
+        (SIMULATE + ["--K", "2", "--p", "equal"], "bad probability spec 'equal'"),
+        (SIMULATE + ["--K", "2", "--p", "equal:0.1,0.2"], "bad probability generator ('equal', 0.1, 0.2): expected"),
+        (SIMULATE + ["--K", "2", "--p", "uniform:0.3"], "bad probability generator ('uniform', 0.3): expected"),
+        (SIMULATE + ["--K", "2", "--p", "uniform:0.5,0.2"], "need 0 < low <= high <= 1"),
+        (SIMULATE + ["--K", "2", "--p", "equal:0"], "need 0 < p <= 1, got 0.0"),
+        (SIMULATE + ["--K", "2", "--p", "equal:nan"], "need 0 < p <= 1, got nan"),
     ],
     ids=["gap-nonnumeric", "gap-zero", "switching-period-zero", "switching-period-nonnumeric", "k-zero",
          "missing-graph-file", "missing-table-csv", "missing-data-csv", "simulate-negative-seed",
          "dataset-negative-seed", "oracle-zero-draws", "oracle-negative-draws", "oracle-negative-seed",
-         "dataset-short-training-prefix", "gr-doubling-one-expert"],
+         "dataset-short-training-prefix", "gr-doubling-one-expert", "p-unknown-kind", "p-no-value",
+         "p-equal-two-values", "p-uniform-one-value", "p-uniform-reversed", "p-equal-zero", "p-equal-nan"],
 )
 def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, args, reason):
     missing = str(tmp_path / "missing.txt")

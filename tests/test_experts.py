@@ -196,7 +196,7 @@ class TestTraining:
         x = np.array([[0.2, 0.4]])
         from graphbandit.experts import _fit_kernel_ridges
 
-        (model,) = _fit_kernel_ridges("rbf", (1.0,), x, np.array([1.0]), ridge=1.0)
+        (model,) = _fit_kernel_ridges("rbf", (1.0,), x, np.array([1.0]))
         assert model.coef[0] == pytest.approx(0.5)
         assert model.predict(x)[0] == pytest.approx(0.5)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,48 @@ class TestConfigValidation:
             small_config(prob_generator=("uniform", 0.5, 0.2))
         with pytest.raises(ConfigError):
             small_config(prob_generator=("equal", 0.0))
+
+    @pytest.mark.parametrize(
+        "generator",
+        [("equal",), ("uniform", 0.2, 0.5, 0.9), ("equal", "0.5"), ("uniform", 0.2, "0.5"), ("exact", 1.0),
+         ("table", np.full((3, 3), 0.5)), (), None, ("equal", float("nan"))],
+        ids=["equal-no-value", "uniform-three-values", "equal-string", "uniform-string", "unknown-kind",
+             "table", "empty", "none", "equal-nan"],
+    )
+    def test_malformed_probability_generator_rejected_at_construction(self, generator):
+        with pytest.raises(ConfigError, match="^bad probability generator"):
+            small_config(prob_generator=generator)
+
+
+class TestDatasetBundleChecks:
+    """A bundle that no job could serve fails at construction, not inside the first job."""
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda p, t, table: (p, t, np.where(table == table.max(), 1.5, table)), "losses must lie in [0, 1]"),
+            (lambda p, t, table: (p, t, np.hstack([table, table[:, :1]])), "loss table has 4 columns, graph has 3"),
+            (lambda p, t, table: (p, t, table[:25]), "loss table has 25 rows, horizon is 30"),
+            (lambda p, t, table: (p[:, :25], t, table), "predictions (3, 25)"),
+            (lambda p, t, table: (p, t[:, None], table), "truths (30, 1)"),
+        ],
+        ids=["loss-above-one", "extra-column", "short-table", "short-predictions", "truths-column"],
+    )
+    def test_rejected_at_construction(self, spoil, message):
+        rng = np.random.default_rng(5)
+        predictions, truths = rng.random((3, 30)), rng.random(30)
+        table = np.clip((predictions - truths) ** 2, 0.0, 1.0).T
+        bundle = DatasetBundle(*spoil(predictions, truths, table), ("e",) * 3)
+        with pytest.raises(ConfigError, match=f"^bad dataset bundle: .*{re.escape(message)}"):
+            ExperimentConfig(("exp3",), NominalGraph.complete(3), ("equal", 0.5), bundle=bundle, runs=1)
+
+    def test_longer_table_and_horizon_cap_accepted(self):
+        rng = np.random.default_rng(5)
+        predictions, truths = rng.random((3, 30)), rng.random(30)
+        table = np.clip((predictions - truths) ** 2, 0.0, 1.0).T
+        bundle = DatasetBundle(predictions, truths, np.vstack([table, table]), ("e",) * 3)
+        cfg = ExperimentConfig(("exp3",), NominalGraph.complete(3), ("equal", 0.5), bundle=bundle, horizon=20, runs=1)
+        assert run_experiment(cfg).checkpoints[-1] == 20
 
 
 class TestCheckpoints:

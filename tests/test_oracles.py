@@ -226,9 +226,15 @@ except ValueError as exc:
         ("resampling", {"chunk": 0}, "chunk"),
         ("ip", {"draws": 0}, "draws"),
         ("ip", {"chunk": 0}, "chunk"),
+        ("resampling", {"draws": 10.5}, "draws"),
+        ("resampling", {"window": 2.5}, "window"),
+        ("resampling", {"draws": True}, "draws"),
+        ("ip", {"chunk": 4.5}, "chunk"),
+        ("ip", {"draws": True}, "draws"),
     ],
     ids=["resampling-draws-0", "resampling-draws-negative", "resampling-window-0", "resampling-chunk-0",
-         "ip-draws-0", "ip-chunk-0"],
+         "ip-draws-0", "ip-chunk-0", "resampling-draws-fractional", "resampling-window-fractional",
+         "resampling-draws-bool", "ip-chunk-fractional", "ip-draws-bool"],
 )
 def test_bad_argument_rejected_before_any_draw(check, overrides, name):
     # In a subprocess with a timeout: a zero chunk used to loop forever.
@@ -243,5 +249,14 @@ def test_bad_argument_rejected_before_any_draw(check, overrides, name):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["message"].startswith(f"{name} must be at least 1")
+    assert result["message"].startswith(f"{name} must be an integer >= 1")
     assert not result["drew"]
+
+
+def test_numpy_integer_sizes_accepted():
+    graph = NominalGraph.complete(2)
+    sizes = dict(draws=np.int64(10), chunk=np.int64(4))
+    checks = ip_estimator_checks(graph, EdgeProbabilityTable.constant(graph, 0.5), Pmf(np.array([0.5, 0.5])),
+                                 [0.1, 0.2], rng=np.random.default_rng(1), **sizes)
+    checks += resampling_checks(0.5, np.int64(5), 0.5, rng=np.random.default_rng(1), **sizes)
+    assert [type(check.draws) for check in checks] == [int] * len(checks)

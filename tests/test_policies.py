@@ -13,7 +13,7 @@ from graphbandit.environment import (
     run_episode,
 )
 from graphbandit.errors import ConfigError, ContractError, PhaseOrderError, ProtocolError
-from graphbandit.estimator import Pmf, WeightVector, _normalized, sample_index
+from graphbandit.estimator import Pmf, WeightVector, _normalized, _softmax, sample_index
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
 from graphbandit.oracles import resampling_checks
 from graphbandit.policies import (
@@ -115,6 +115,18 @@ class TestSelectionPmfs:
             a = uniform_mix_pmf(WeightVector(np.log(w)).log_weights, 0.2, (1, 2, 3, 4, 5))
             b = uniform_mix_pmf(WeightVector(np.log(scale * w)).log_weights, 0.2, (1, 2, 3, 4, 5))
             np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_uniform_exploration_split_is_eta_over_the_set_size(self, algorithm):
+        # On |D| = 5 at eta = 0.1, eta / |D| is 0.02 but eta * (1 / |D|) is 0.020000000000000004.
+        g = NominalGraph.bandit(5)
+        learner = make_learner(LearnerConfig(algorithm, FixedEta(0.1), min_observations=1), g, seed=3)
+        run_episode(learner, StochasticGapAdversary(gap=0.2), g, constant_table(g, 0.5), 20, seed=3)
+        expected = (1.0 - 0.1) * _softmax(learner._log_weights)
+        learner.select(21, g)
+        assert learner.last_pmf is not None  # a pmf round, not a forced one
+        expected += 0.1 / 5  # every expert of the bandit graph is in D
+        assert learner._mixed.tobytes() == expected.tobytes()
 
 
 class TestObservationProb:
