@@ -151,7 +151,7 @@ class EdgeProbabilityTable:
 
     @classmethod
     def constant(cls, graph: NominalGraph, value: float) -> "EdgeProbabilityTable":
-        if not 0 < value <= 1:
+        if isinstance(value, (bool, np.bool_)) or not 0 < value <= 1:
             raise ValueError(f"need 0 < p <= 1, got {value}")
         probs = np.where(graph.adjacency, float(value), 0.0)
         return cls.from_probs(graph, probs, epsilon=float(value))
@@ -159,7 +159,7 @@ class EdgeProbabilityTable:
     @classmethod
     def uniform(cls, graph: NominalGraph, low: float, high: float, rng) -> "EdgeProbabilityTable":
         """Independent per-edge probabilities drawn uniformly from [low, high]."""
-        if not 0 < low <= high <= 1:
+        if isinstance(low, (bool, np.bool_)) or isinstance(high, (bool, np.bool_)) or not 0 < low <= high <= 1:
             raise ValueError(f"need 0 < low <= high <= 1, got [{low}, {high}]")
         draws = rng.uniform(low, high, size=graph.adjacency.shape)
         probs = np.where(graph.adjacency, draws, 0.0)

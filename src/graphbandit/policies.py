@@ -24,7 +24,10 @@ crossing the public interface are 1-based.
 A learner's state is plain arrays.  ``run_episode`` hands each round's
 feedback to ``_observe`` as arrays; ``update`` checks a ``FeedbackEvent``
 and hands it on as the same arrays, and ``weights``/``last_pmf`` build their
-objects from the arrays on demand.
+objects from the arrays on demand.  ``_LearnerBase._fields`` declares a
+snapshot's stored and derived fields once: ``snapshot()`` writes them;
+``load_snapshot`` reads the stored ones back, re-derives the rest and rejects
+a derived value that differs, an undeclared key or a non-integer version.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,8 +82,6 @@ __all__ = [
 
 ALGORITHMS = ("exp3", "exp3-dom", "exp3-ip", "exp3-up", "exp3-gr")
 
-SNAPSHOT_VERSION = 1
-
 _NO_CHOICES = np.empty(0, dtype=np.int64)
 
 
@@ -104,10 +106,10 @@ class LearnerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         object.__setattr__(self, "min_observations", _integer(self.min_observations, "min_observations"))
-        if not self.confidence_width >= 1:
-            raise ConfigError(f"confidence_width must be >= 1, got {self.confidence_width}")
-        if self.epsilon is not None and not 0 < self.epsilon <= 1:
-            raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if isinstance(self.confidence_width, (bool, np.bool_)) or not self.confidence_width >= 1:
+            raise ConfigError(f"confidence_width must be a number >= 1, got {self.confidence_width!r}")
+        if self.epsilon is not None and (isinstance(self.epsilon, (bool, np.bool_)) or not 0 < self.epsilon <= 1):
+            raise ConfigError(f"epsilon must be a number in (0, 1], got {self.epsilon!r}")
         if self.algorithm == "exp3-gr" and isinstance(self.schedule, DoublingSchedule) and self.epsilon is None:
             raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
 
@@ -738,45 +740,91 @@ class _LearnerBase:
 
     # -- snapshots ---------------------------------------------------------
 
+    def _fields(self) -> dict:
+        """The one declaration of a snapshot, in text order and nested as the text nests it."""
+        k, config, doubling = self._k, self.config, isinstance(self.config.schedule, DoublingSchedule)
+        fields = {
+            "version": _VERSION,
+            "algorithm": _Derived(self.algorithm),
+            "round": _Stored(self, "_round", partial(_read, bounds=(0, math.inf))),
+            "log_weights": _Stored(
+                self, "_log_weights", lambda text, name: WeightVector(_read(text, name, (k,), float)).log_weights
+            ),
+            "rng": _Stored(self, "_rng", _read_rng, _encode_rng_state),
+            "config": {
+                "schedule": _Derived(format_schedule(config.schedule)),
+                "min_observations": _Derived(config.min_observations),
+                "confidence_width": _Derived(config.confidence_width),
+                "epsilon": _Derived(config.epsilon),
+            },
+        }
+        if not isinstance(self, _UninformativeBase):
+            fields["extra"] = {"doubling": _Stored(self, "_doubling", _read_doubling, asdict) if doubling else _NULL}
+            return fields
+        extra = fields["extra"] = {  # read back into a fresh learner, which is at its first epoch
+            "explore_counts": _Stored(self, "_explore_counts", partial(_read, shape=(k,), bounds=(0, math.inf))),
+            "explore_cursor": _Stored(self, "_explore_cursor", partial(_read, bounds=(0, k - 1))),
+            "epoch": _Stored(self, "_epoch", partial(_read, bounds=(self._epoch, math.inf))) if doubling else _NULL,
+            "eta_value": _Derived(self._eta_value),
+            "min_observations": _Derived(self._min_obs),
+        }
+        if self.algorithm == "exp3-up":
+            extra["counts"] = _Stored(self._store, "counts", partial(_read, shape=(k, k), bounds=(0, math.inf)))
+            extra["sums"] = _Stored(self._store, "sums", partial(_read, shape=(k, k), bounds=(0, "counts")))
+            extra["confidence_width"] = _Derived(self._xi)
+        else:
+            extra["capacity"] = _Derived(self._store.capacity)
+            extra["buffers"] = _Stored(self, "_store", partial(_read_rings, self._graph), ResampleBuffer.samples)
+        return fields
+
     def snapshot(self) -> str:
         """Serialize the learner between rounds; restore with load_snapshot."""
         if self._pending is not None:
             raise ProtocolError("snapshot only permitted between rounds (after update)")
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "algorithm": self.algorithm,
-            "round": self._round,
-            "log_weights": self._log_weights.tolist(),
-            "rng": _encode_rng_state(self._rng),
-            "config": {
-                "schedule": format_schedule(self.config.schedule),
-                "min_observations": self.config.min_observations,
-                "confidence_width": self.config.confidence_width,
-                "epsilon": self.config.epsilon,
-            },
-            "extra": self._extra_state(),
-        }
-        return json.dumps(payload)
+        return json.dumps(_write(self._fields()))
 
 
-# A snapshot field holding stored state: ``holder``'s int64 array (an int when
-# ``shape`` is ()) ``attribute``, within ``bounds``.
-_Stored = namedtuple("_Stored", "holder attribute shape bounds")
+# Stored state: ``holder``'s ``attribute``, written to the text by ``write`` and read back by ``read(text, name)``.
+_Stored = namedtuple("_Stored", "holder attribute read write", defaults=(lambda value: np.asarray(value).tolist(),))
+# A derived value, recomputed on restore: the text must read as ``value``, of its type (null for None).
+_Derived = namedtuple("_Derived", "value")
+_VERSION, _NULL = _Derived(1), _Derived(None)  # the layout's version; a field null under this config
 
 
-def _snapshot_field(fields, name: str):
-    """The snapshot field ``name``; raises ValueError naming it when missing."""
-    if not isinstance(fields, dict) or name not in fields:
+def _write(fields: dict) -> dict:
+    return {
+        name: _write(spec) if isinstance(spec, dict)
+        else spec.write(getattr(spec.holder, spec.attribute)) if isinstance(spec, _Stored)
+        else spec.value
+        for name, spec in fields.items()
+    }
+
+
+def _restore(fields: dict, text, kind) -> None:
+    """Walk the declaration ``fields`` over ``text``: read each ``_Stored`` field back into its holder,
+    or require each ``_Derived`` field to read as its value and reject any undeclared key."""
+    for name, spec in fields.items():
+        if isinstance(spec, dict):
+            _restore(spec, _read(text, name, dtype=dict), kind)
+        elif isinstance(spec, kind) and kind is _Stored:
+            setattr(spec.holder, spec.attribute, spec.read(text, name))
+        elif isinstance(spec, kind):
+            _check(text, name, spec.value)
+    if kind is _Derived:
+        _declared(text, fields)
+
+
+def _read(text, name: str, shape: tuple = (), dtype=np.int64, bounds=(-math.inf, math.inf)):
+    """The field ``name`` of ``text`` as an array of ``dtype`` (a scalar when ``shape`` is ()), or as it is for
+    object, str or dict; raises ValueError naming it unless it is present, of ``shape``, holds JSON integers
+    (numbers for float) and lies in ``bounds``, whose upper end may name a field of ``text``."""
+    if not isinstance(text, dict) or name not in text:
         raise ValueError(f"snapshot field {name!r} is missing")
-    return fields[name]
-
-
-def _snapshot_array(fields, name: str, shape: tuple, dtype=np.int64, bounds=None) -> np.ndarray:
-    """The snapshot field ``name`` as an array of ``dtype``; raises ValueError
-    naming it unless it is of shape ``shape``, holds JSON integers (numbers
-    for a float dtype) and lies within ``bounds``, whose upper end may name an
-    earlier-read field of ``fields``."""
-    value = _snapshot_field(fields, name)
+    value = text[name]
+    if dtype in (object, str, dict):
+        if not isinstance(value, dtype):
+            raise ValueError(f"snapshot field {name!r} must be a {dtype.__name__}, got {value!r}")
+        return value
     try:
         values = np.array(value)
     except ValueError as exc:  # a ragged list
@@ -786,11 +834,21 @@ def _snapshot_array(fields, name: str, shape: tuple, dtype=np.int64, bounds=None
     if values.dtype.kind not in ("i" if np.dtype(dtype).kind == "i" else "if"):  # bools, strings and nulls fail
         raise ValueError(f"snapshot field {name!r} must hold {np.dtype(dtype)} values, got {values.dtype}")
     values = values.astype(dtype)
-    if bounds is not None:
-        lo, hi = bounds
-        if not ((values >= lo) & (values <= (np.asarray(fields[hi]) if isinstance(hi, str) else hi))).all():
-            raise ValueError(f"snapshot field {name!r} must lie in [{lo}, {hi}]")
-    return values
+    lo, hi = bounds  # NaN lies in no bounds
+    if not ((values >= lo) & (values <= (np.asarray(text[hi]) if isinstance(hi, str) else hi))).all():
+        raise ValueError(f"snapshot field {name!r} must lie in [{lo}, {hi}]")
+    return values if shape else values.item()
+
+
+def _check(text, name: str, value) -> None:
+    if _read(text, name, dtype=object if value is None else type(value)) != value:  # NaN never equals
+        raise ValueError(f"snapshot field {name!r} must be {json.dumps(value)}, got {json.dumps(text[name])}")
+
+
+def _declared(text: dict, names) -> None:
+    for key in text:
+        if key not in names:
+            raise ValueError(f"snapshot field {key!r} is not declared")
 
 
 def _encode_rng_state(rng: np.random.Generator):
@@ -799,27 +857,40 @@ def _encode_rng_state(rng: np.random.Generator):
             return {k: conv(v) for k, v in obj.items()}
         if isinstance(obj, np.ndarray):
             return {"__array__": obj.tolist(), "dtype": str(obj.dtype)}
-        if isinstance(obj, np.integer):
-            return int(obj)
-        return obj
+        return int(obj) if isinstance(obj, np.integer) else obj
 
     return conv(rng.bit_generator.state)
 
 
-def _decode_rng_state(payload) -> np.random.Generator:
+def _read_rng(text, name: str) -> np.random.Generator:
     def conv(obj):
-        if isinstance(obj, dict):
-            if "__array__" in obj:
-                return np.array(obj["__array__"], dtype=obj["dtype"])
-            return {k: conv(v) for k, v in obj.items()}
-        return obj
+        if isinstance(obj, dict) and "__array__" in obj:
+            return np.array(obj["__array__"], dtype=obj["dtype"])
+        return {k: conv(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
 
     bit_gen = np.random.Philox()
     try:  # the setter rejects any other generator's state
-        bit_gen.state = conv(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"snapshot field 'rng' is not a Philox state: {exc!r}") from None
+        bit_gen.state = conv(_read(text, name, dtype=object))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"snapshot field {name!r} is not a Philox state: {exc!r}") from None
     return np.random.Generator(bit_gen)
+
+
+def _read_doubling(text, name: str) -> DoublingState:
+    """The informed learner's doubling pair: its epoch, then its accumulated load."""
+    state = _read(text, name, dtype=dict)
+    _declared(state, ("epoch", "accumulated"))
+    epoch = _read(state, "epoch", bounds=(0, 1022))  # 2.0 ** (epoch + 1) must not overflow
+    return DoublingState(epoch, _read(state, "accumulated", dtype=float, bounds=(0, 2.0**epoch)))  # NaN fails
+
+
+def _read_rings(graph: NominalGraph, text, name: str) -> ResampleBuffer:
+    """exp3-gr's rings, as wide as the longest; entering the epoch grows them."""
+    samples = _read(text, name, dtype=object)
+    try:
+        return ResampleBuffer.from_samples(graph, max([1, *map(len, samples.values())]), samples)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"snapshot field {name!r} does not fit the graph: {exc!r}") from None
 
 
 class Exp3IP(_LearnerBase):
@@ -853,21 +924,6 @@ class Exp3IP(_LearnerBase):
             self._doubling, restart, self._eta_value = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
             if restart:
                 self._log_weights = np.zeros(self._k)
-
-    def _extra_state(self):
-        if self._doubling is None:
-            return {"doubling": None}
-        return {"doubling": {"epoch": self._doubling.epoch, "accumulated": self._doubling.accumulated}}
-
-    def _restore_extra(self, extra):
-        d = _snapshot_field(extra, "doubling")
-        if (d is None) != (self._doubling is None):
-            raise ValueError("snapshot field 'doubling' must be null exactly when the schedule is not doubling")
-        if d is not None:
-            epoch = int(_snapshot_array(d, "epoch", (), bounds=(0, 1022)))  # 2.0 ** (epoch + 1) must not overflow
-            accumulated = float(_snapshot_array(d, "accumulated", (), float, bounds=(0, 2.0**epoch)))  # NaN fails
-            self._doubling = DoublingState(epoch, accumulated)
-            self._eta_value = doubling_eta(epoch, math.log(self._k))
 
 
 class _UninformativeBase(_LearnerBase):
@@ -985,43 +1041,6 @@ class _UninformativeBase(_LearnerBase):
             self._enter_epoch(epoch)
             self._log_weights = np.zeros(self._k)
 
-    def _fields(self) -> dict:
-        """The snapshot's extra fields in order: stored state as ``_Stored``,
-        then the epoch and the values derived from it and the config."""
-        k = self._k
-        return {
-            "explore_counts": _Stored(self, "_explore_counts", (k,), (0, math.inf)),
-            "explore_cursor": _Stored(self, "_explore_cursor", (), (0, k - 1)),
-            "epoch": self._epoch,
-            "eta_value": self._eta_value,
-            "min_observations": self._min_obs,
-        }
-
-    def _extra_state(self):
-        return {
-            name: np.asarray(getattr(spec.holder, spec.attribute)).tolist() if isinstance(spec, _Stored) else spec
-            for name, spec in self._fields().items()
-        }
-
-    def _restore_extra(self, extra):
-        """On this fresh learner: read the stored state, enter the snapshot's
-        epoch, and require each derived field to equal its recomputed value."""
-        for name, spec in self._fields().items():
-            if isinstance(spec, _Stored):
-                values = _snapshot_array(extra, name, spec.shape, bounds=spec.bounds)
-                setattr(spec.holder, spec.attribute, values if spec.shape else int(values))
-        first = self._epoch  # None, or the schedule's first epoch
-        if (_snapshot_field(extra, "epoch") is None) != (first is None):
-            raise ValueError("snapshot field 'epoch' must be null exactly when the schedule is not doubling")
-        epoch = None if first is None else int(_snapshot_array(extra, "epoch", (), bounds=(first, math.inf)))
-        try:
-            self._enter_epoch(epoch)
-        except OverflowError:
-            raise ValueError(f"snapshot field 'epoch' is out of range, got {epoch}") from None
-        for name, value in self._fields().items():
-            if not (isinstance(value, _Stored) or _snapshot_field(extra, name) == value):  # NaN fails
-                raise ValueError(f"snapshot field {name!r} must be {value!r} at epoch {epoch}, got {extra[name]!r}")
-
 
 class Exp3UP(_UninformativeBase):
     """Estimation-based uninformative learner: forced round-robin exploration
@@ -1044,15 +1063,6 @@ class Exp3UP(_UninformativeBase):
             _check_in_edges(self._graph, state.counts, self._min_obs, fired)
         return _importance_estimates(losses, _sum(extras[0] * state._divisors[fired], axis=-1))
 
-    def _fields(self):
-        k = self._k
-        return {
-            **super()._fields(),
-            "counts": _Stored(self._store, "counts", (k, k), (0, math.inf)),
-            "sums": _Stored(self._store, "sums", (k, k), (0, "counts")),
-            "confidence_width": self._xi,
-        }
-
 
 class Exp3GR(_UninformativeBase):
     """Resampling-based uninformative learner: keeps a window of recent edge
@@ -1069,19 +1079,6 @@ class Exp3GR(_UninformativeBase):
     def _estimates(self, fired, losses, extras):
         trials = _resample_targets(extras[1], self._store, fired, self._min_obs, self._rng)
         return _resampled_estimates(losses, trials, self._min_obs)
-
-    def _fields(self):
-        return {**super()._fields(), "capacity": self._store.capacity}
-
-    def _extra_state(self):
-        return {**super()._extra_state(), "buffers": self._store.samples()}
-
-    def _restore_extra(self, extra):
-        super()._restore_extra(extra)
-        try:
-            self._store = ResampleBuffer.from_samples(self._graph, self._min_obs, _snapshot_field(extra, "buffers"))
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"snapshot field 'buffers' does not fit the graph: {exc!r}") from None
 
 
 # Each algorithm's class; the name picks the settings within it.
@@ -1100,31 +1097,32 @@ def make_learner(config: LearnerConfig, graph: NominalGraph, probs=None, seed=0)
 def load_snapshot(text: str, graph: NominalGraph, probs=None):
     """Rebuild a learner from ``snapshot()`` output plus its (static) graph.
 
-    Stored state is read back: the round, weights, generator, exploration
-    counts and cursor, exp3-up's ``counts`` and ``sums``, exp3-gr's
-    ``buffers`` and the informed learners' ``doubling``.  The uninformative
-    learners enter the stored ``epoch``; ``eta_value``, ``min_observations``,
-    ``confidence_width`` and ``capacity`` are recomputed from (config, epoch)
-    and must equal the text.  A missing field, a mismatch, a non-integer where
-    an integer belongs, or a field that does not fit the graph raises
-    ValueError naming the field."""
+    ``_LearnerBase._fields`` declares every field once.  The learner is built
+    from ``config``; the stored state is read back, the rest re-derived from it
+    (the stored epoch entered), and each derived value must equal the text.  A
+    missing field, a mismatch, an undeclared key, a non-integer where an
+    integer belongs (``version`` too) or a field that does not fit the graph
+    raises ValueError naming the field."""
     payload = json.loads(text)
-    if _snapshot_field(payload, "version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {payload['version']}")
-    cfg = _snapshot_field(payload, "config")
-    schedule = _snapshot_field(cfg, "schedule")
-    if not isinstance(schedule, str):
-        raise ValueError(f"snapshot field 'schedule' must be a string, got {schedule!r}")
+    _check(payload, "version", _VERSION.value)
+    cfg = _read(payload, "config", dtype=dict)
     config = LearnerConfig(
-        algorithm=_snapshot_field(payload, "algorithm"),
-        schedule=parse_schedule(schedule),
-        min_observations=int(_snapshot_array(cfg, "min_observations", ())),
-        confidence_width=float(_snapshot_array(cfg, "confidence_width", (), float)),
-        epsilon=None if _snapshot_field(cfg, "epsilon") is None else float(_snapshot_array(cfg, "epsilon", (), float)),
+        algorithm=_read(payload, "algorithm", dtype=str),
+        schedule=parse_schedule(_read(cfg, "schedule", dtype=str)),
+        min_observations=_read(cfg, "min_observations"),
+        confidence_width=_read(cfg, "confidence_width", dtype=float),
+        epsilon=None if _read(cfg, "epsilon", dtype=object) is None else _read(cfg, "epsilon", dtype=float),
     )
-    learner = make_learner(config, graph, probs=probs, seed=0)
-    learner._round = int(_snapshot_array(payload, "round", (), bounds=(0, math.inf)))
-    learner._log_weights = WeightVector(_snapshot_array(payload, "log_weights", (learner._k,), float)).log_weights
-    learner._rng = _decode_rng_state(_snapshot_field(payload, "rng"))
-    learner._restore_extra(_snapshot_field(payload, "extra"))
+    learner = make_learner(config, graph, probs=probs)
+    _restore(learner._fields(), payload, _Stored)
+    if isinstance(learner, _UninformativeBase):
+        try:
+            learner._enter_epoch(learner._epoch)
+        except OverflowError:
+            raise ValueError(f"snapshot field 'epoch' is out of range, got {learner._epoch}") from None
+        except ValueError:  # exp3-gr's buffer never shrinks to the epoch's window
+            raise ValueError(f"snapshot field 'buffers' has a ring longer than {learner._min_obs}") from None
+    elif learner._doubling is not None:
+        learner._eta_value = doubling_eta(learner._doubling.epoch, math.log(learner._k))
+    _restore(learner._fields(), payload, _Derived)
     return learner

@@ -176,6 +176,20 @@ class TestExpectedObservations:
         assert expected_observations(g, p, 2) == pytest.approx(1.2)
 
 
+class TestProbabilityTableValues:
+    """A bool is not a probability: ``0 < True <= 1`` holds, so it must be refused by type."""
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True)])
+    def test_constant_rejects_a_bool(self, value):
+        with pytest.raises(ValueError, match="need 0 < p <= 1"):
+            EdgeProbabilityTable.constant(NominalGraph.complete(2), value)
+
+    @pytest.mark.parametrize("low, high", [(True, 1.0), (0.5, True), (np.bool_(True), 1.0)])
+    def test_uniform_rejects_a_bool(self, low, high):
+        with pytest.raises(ValueError, match="need 0 < low <= high <= 1"):
+            EdgeProbabilityTable.uniform(NominalGraph.complete(2), low, high, np.random.default_rng(0))
+
+
 class TestGraphFile:
     def test_complete_shorthand(self, tmp_path):
         path = tmp_path / "g.txt"

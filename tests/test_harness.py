@@ -105,7 +105,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="min_observations"):
             small_config(min_observations=floor)
 
-    @pytest.mark.parametrize("field, value", [("confidence_width", 0.5), ("epsilon", 2.0)])
+    @pytest.mark.parametrize(
+        "field, value", [("confidence_width", 0.5), ("epsilon", 2.0), ("confidence_width", True), ("epsilon", True)]
+    )
     def test_learner_config_checks_run_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
@@ -137,9 +139,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "generator",
         [("equal",), ("uniform", 0.2, 0.5, 0.9), ("equal", "0.5"), ("uniform", 0.2, "0.5"), ("exact", 1.0),
-         ("table", np.full((3, 3), 0.5)), (), None, ("equal", float("nan"))],
+         ("table", np.full((3, 3), 0.5)), (), None, ("equal", float("nan")), ("equal", True),
+         ("uniform", True, 1.0), ("uniform", 0.5, True)],
         ids=["equal-no-value", "uniform-three-values", "equal-string", "uniform-string", "unknown-kind",
-             "table", "empty", "none", "equal-nan"],
+             "table", "empty", "none", "equal-nan", "equal-bool", "uniform-bool-low", "uniform-bool-high"],
     )
     def test_malformed_probability_generator_rejected_at_construction(self, generator):
         with pytest.raises(ConfigError, match="^bad probability generator"):

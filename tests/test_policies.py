@@ -446,6 +446,16 @@ class TestLearnerConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             LearnerConfig("exp3-gr", FixedEta(0.3), epsilon=1.5)
 
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_confidence_width_must_not_be_a_bool(self, flag):
+        with pytest.raises(ConfigError, match="confidence_width must be a number"):
+            LearnerConfig("exp3-up", confidence_width=flag)
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_epsilon_must_not_be_a_bool(self, flag):
+        with pytest.raises(ConfigError, match="epsilon must be a number"):
+            LearnerConfig("exp3-gr", DoublingSchedule(), epsilon=flag)
+
     def test_resampling_doubling_needs_epsilon_in_the_config(self):
         with pytest.raises(ConfigError, match=r"^exp3-gr with the doubling schedule needs epsilon"):
             LearnerConfig("exp3-gr", DoublingSchedule())
@@ -904,12 +914,30 @@ class TestSnapshotValidation:
             ("exp3", lambda payload: payload.update(rng=5), "rng"),
             ("exp3-ip", lambda payload: payload["rng"].pop("state"), "rng"),
             ("exp3-up", lambda payload: payload["rng"]["state"].update(counter="7"), "rng"),
+            ("exp3-gr", lambda payload: payload["rng"]["state"]["counter"]["__array__"].__setitem__(0, -1), "rng"),
+            ("exp3-ip", lambda payload: payload["rng"]["state"]["key"]["__array__"].__setitem__(0, 2**64), "rng"),
             ("exp3-gr", lambda extra: extra.update(buffers=[1, 2]), "buffers"),
             ("exp3-gr", lambda extra: extra["buffers"].update({"5,1": [1]}), "buffers"),
             ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [[1]]}), "buffers"),
             ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [True]}), "buffers"),
             ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [1.0]}), "buffers"),
             ("exp3-gr", lambda extra: extra["buffers"].update({"1,1": [[1, 0]]}), "buffers"),
+            ("exp3-gr", lambda extra: extra["buffers"]["1,1"].append(0), "buffers"),  # 4 samples, capacity 3
+            ("exp3", lambda payload: payload.update(version=True), "version"),
+            ("exp3", lambda payload: payload.update(version=1.0), "version"),
+            ("exp3-up", lambda payload: payload.update(version="1"), "version"),
+            ("exp3-ip", lambda payload: payload.update(version=2), "version"),
+            ("exp3", lambda payload: payload.pop("version"), "version"),
+            ("exp3", lambda payload: payload.update(junk=1), "junk"),
+            ("exp3-up", lambda payload: payload["config"].update(junk=1), "junk"),
+            ("exp3-gr", lambda payload: payload["extra"].update(junk=1), "junk"),
+            ("exp3-ip", lambda payload: payload["extra"].update(junk=1), "junk"),
+            ("exp3-ip+doubling", lambda payload: payload["extra"]["doubling"].update(junk=1), "junk"),
+            ("exp3-up", lambda payload: payload.update(config=[]), "config"),
+            ("exp3", lambda payload: payload.update(extra=[]), "extra"),
+            ("exp3-up", lambda payload: payload.update(algorithm=3), "algorithm"),
+            ("exp3-up", lambda payload: payload["config"].update(schedule="fixed:0.50"), "schedule"),
+            ("exp3-gr", lambda extra: extra.update(capacity=3.0), "capacity"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -927,12 +955,17 @@ class TestSnapshotValidation:
              "up-xi-off-schedule", "round-negative", "round-fractional", "round-string", "round-bool",
              "gr-cursor-fractional", "counts-fractional", "sums-missing", "capacity-missing", "extra-missing",
              "ip-accumulated-string", "epsilon-string", "epsilon-bool", "schedule-number", "rng-number",
-             "rng-without-state", "rng-string-counter", "buffers-list", "buffers-unknown-edge", "ring-nested",
-             "ring-bool", "ring-float", "ring-nested-pair"],
+             "rng-without-state", "rng-string-counter", "rng-negative-counter", "rng-key-above-uint64",
+             "buffers-list", "buffers-unknown-edge", "ring-nested", "ring-bool", "ring-float", "ring-nested-pair",
+             "ring-above-capacity", "version-bool",
+             "version-float", "version-string", "version-2", "version-missing", "top-level-junk", "config-junk",
+             "up-extra-junk", "ip-extra-junk", "doubling-junk", "config-not-an-object", "extra-not-an-object",
+             "algorithm-number", "schedule-not-canonical", "capacity-float"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
-        tamper(payload if field in ("round", "extra", "epsilon", "schedule", "rng") else payload["extra"])
+        top_level = ("round", "extra", "epsilon", "schedule", "rng", "version", "junk", "config", "algorithm")
+        tamper(payload if field in top_level else payload["extra"])
         with pytest.raises(ValueError, match=f"'{field}'"):
             load_on_k4(payload)
 
