@@ -12,13 +12,16 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/contract error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .environment import FixedTableAdversary, StochasticGapAdversary, SwitchingAdversary
 from .errors import ConfigError, ContractError, IngestError, InvariantError, PhaseOrderError, ProtocolError
-from .experts import build_dataset_bundle, load_csv, train_expert_pool
+from .experts import POOL_SIZE, DatasetBundle, build_dataset_bundle, load_csv, train_expert_pool
 from .graph import NominalGraph, load_graph_file
 from .harness import ExperimentConfig, emit_results, run_experiment
 from .oracles import default_suite
@@ -141,14 +144,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    target = args.target
-    if target.isdigit():
-        target = int(target)
+    # Every flag is checked before the data is read, on a one-round stand-in bundle of the pool's fixed size.
+    stand_in = DatasetBundle(np.zeros((POOL_SIZE, 1)), np.zeros(1), np.zeros((1, POOL_SIZE)), ())
+    cfg = _build_config(args, _resolve_graph(args, POOL_SIZE), bundle=stand_in, horizon=args.horizon)
+    target = int(args.target) if args.target.isdigit() else args.target
     dataset = load_csv(args.data, target, normalize=not args.no_normalize, split=args.split)
-    pool = train_expert_pool(dataset)
-    bundle = build_dataset_bundle(dataset, pool)
-    graph = _resolve_graph(args, bundle.num_experts)
-    cfg = _build_config(args, graph, bundle=bundle, horizon=args.horizon)
+    cfg = dataclasses.replace(cfg, bundle=build_dataset_bundle(dataset, train_expert_pool(dataset)))
     result = run_experiment(cfg)
     _finish(result, cfg, args)
     return 0

@@ -13,13 +13,12 @@ from __future__ import annotations
 import copy
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, IngestError
 from .estimator import _skip_doubles
-from .experts import _csv_rows
+from .experts import _csv_table
 from .graph import EdgeProbabilityTable, NominalGraph
 
 __all__ = [
@@ -93,23 +92,11 @@ class FixedTableAdversary:
 
     @classmethod
     def from_csv(cls, path) -> "FixedTableAdversary":
-        """Load a T x K loss table from CSV; a header row (see ``experts._csv_rows``)
-        is skipped."""
-        path = Path(path)
-        _, records = _csv_rows(path)
-        rows: list[list[float]] = []
-        for lineno, row in records:
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: non-numeric loss value") from None
-        if not rows:
-            raise IngestError(f"{path}: no loss rows found")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise IngestError(f"{path}: ragged rows, widths {sorted(widths)}")
+        """Load a T x K loss table from CSV through ``experts._csv_table``: blank lines are skipped, a
+        header must name every column, each name once, and every row must be numeric and K wide."""
+        table = _csv_table(path)[1]
         try:
-            return cls(np.array(rows))
+            return cls(table)
         except ValueError as exc:
             raise IngestError(f"{path}: {exc}") from exc
 

@@ -36,6 +36,7 @@ __all__ = [
 
 RBF_BANDWIDTHS = (1e-2, 1e-1, 1.0, 10.0, 100.0)
 LAPLACIAN_BANDWIDTHS = (1e-2, 1.0, 100.0)
+POOL_SIZE = len(RBF_BANDWIDTHS) + len(LAPLACIAN_BANDWIDTHS) + 1  # the kernel models and one linear model
 
 # Gram solves stay at desk scale; larger prefixes are subsampled evenly.
 MAX_KERNEL_TRAIN_ROWS = 500
@@ -46,6 +47,13 @@ _KERNEL_BLOCK_ROWS = 64
 _EXP_UNDERFLOW = -746.0
 # numpy's pairwise_sum adds up to this many terms with eight partial sums.
 _PAIRWISE_BLOCK = 128
+
+
+def _train_count(num_rows: int, split: float) -> int:
+    """The training prefix's row count, the first ``split`` of ``num_rows``; ``split`` must lie in (0, 1)."""
+    if not 0 < split < 1:
+        raise ValueError(f"split must be in (0, 1), got {split}")
+    return int(num_rows * split + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,7 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
         if (targets < 0).any() or (targets > 1).any():
             raise ValueError("targets must lie in [0, 1]; pass normalize=True when loading")
-        if not 0 < self.split < 1:
-            raise ValueError(f"split must be in (0, 1), got {self.split}")
+        _train_count(features.shape[0], self.split)  # checks split
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
 
@@ -80,7 +87,7 @@ class Dataset:
 
     @property
     def train_count(self) -> int:
-        return int(self.num_rows * self.split + 1e-9)
+        return _train_count(self.num_rows, self.split)
 
     def training_rows(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.train_count
@@ -231,53 +238,36 @@ class LinearExpert:
         return "linear"
 
 
-def _csv_rows(path: Path) -> tuple[tuple[int, list[str]] | None, list[tuple[int, list[str]]]]:
-    """The non-blank rows of a CSV file as (physical line, cells), with the
-    header split off.  The first non-blank row is the header when one of its
-    cells is not a number and none is empty; a first row with an empty cell
-    is a (bad) data row."""
+def _csv_table(path) -> tuple[list[str] | None, np.ndarray]:
+    """Read a numeric CSV file as its header (or None) and a (rows, columns)
+    array.  Blank lines are skipped.  The first non-blank row is the header
+    when one of its cells is not a number and none is empty (a first row
+    with an empty cell is a bad data row); a header must name every column,
+    each name once.  Every other row must be numeric and as wide as the
+    first; bad rows are reported by physical line."""
+    path = Path(path)
     try:
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
             rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
-    if rows:
-        cells = rows[0][1]
-        try:
-            [float(cell) for cell in cells]
-        except ValueError:
-            if all(cell.strip() for cell in cells):
-                return rows[0], rows[1:]
-    return None, rows
-
-
-def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -> Dataset:
-    """Ingest a regression CSV.
-
-    ``target_column`` is a header name or a 0-based column position.  With
-    ``normalize`` the features are min-max scaled per column over the whole
-    file, while the target is min-max scaled by the *training prefix* min/max
-    and then clipped to [0, 1] (no lookahead).  Without it values are taken
-    verbatim, and out-of-range targets are rejected.  Rows with non-numeric
-    cells abort the load with their physical line numbers.  The header is
-    the first non-blank row if it is non-numeric (see ``_csv_rows``); it must
-    name every column, each name once.
-    """
-    path = Path(path)
-    header_row, rows = _csv_rows(path)
-    if header_row is None and not rows:
+    if not rows:
         raise IngestError(f"{path}: empty file")
-    header: list[str] | None = None
-    if header_row is not None:
-        header = [cell.strip() for cell in header_row[1]]
-        duplicates = sorted({name for name in header if header.count(name) > 1})
-        if duplicates:
-            raise IngestError(f"{path}: duplicate column name(s) {duplicates} in the header")
+    header = None
+    try:
+        [float(cell) for cell in rows[0][1]]
+    except ValueError:
+        if all(cell.strip() for cell in rows[0][1]):
+            header = [cell.strip() for cell in rows.pop(0)[1]]
+            duplicates = sorted({name for name in header if header.count(name) > 1})
+            if duplicates:
+                raise IngestError(f"{path}: duplicate column name(s) {duplicates} in the header")
     if not rows:
         raise IngestError(f"{path}: no data rows")
-
     width = len(rows[0][1])
+    if header is not None and len(header) != width:
+        raise IngestError(f"{path}: the header names {len(header)} columns, the first row has {width}")
     values = np.empty((len(rows), width))
     bad_lines: list[int] = []
     for r, (lineno, row) in enumerate(rows):
@@ -290,8 +280,23 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
             bad_lines.append(lineno)
     if bad_lines:
         shown = ", ".join(str(n) for n in bad_lines[:20])
-        raise IngestError(f"{path}: non-numeric or ragged rows at line(s) {shown}")
+        raise IngestError(f"{path}:{bad_lines[0]}: non-numeric or ragged rows at line(s) {shown}")
+    return header, values
 
+
+def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -> Dataset:
+    """Ingest a regression CSV, read by ``_csv_table``: blank lines are
+    skipped, a non-numeric first row is a header that must name every column,
+    each name once, and bad rows abort the load with their physical line
+    numbers.
+
+    ``target_column`` is a header name or a 0-based column position.  With
+    ``normalize`` the features are min-max scaled per column over the whole
+    file, while the target is min-max scaled by the *training prefix* min/max
+    and then clipped to [0, 1] (no lookahead).  Without it values are taken
+    verbatim, and out-of-range targets are rejected.
+    """
+    header, values = _csv_table(path)
     if isinstance(target_column, str):
         if header is None:
             raise IngestError(f"{path}: target column {target_column!r} named but the file has no header")
@@ -300,26 +305,26 @@ def load_csv(path, target_column, normalize: bool = True, split: float = 0.10) -
         target_idx = header.index(target_column)
     else:
         target_idx = int(target_column)
-        if not 0 <= target_idx < width:
-            raise IngestError(f"{path}: target column {target_idx} out of range for {width} columns")
+        if not 0 <= target_idx < values.shape[1]:
+            raise IngestError(f"{path}: target column {target_idx} out of range for {values.shape[1]} columns")
 
     targets = values[:, target_idx]
     features = np.delete(values, target_idx, axis=1)
     if features.shape[1] == 0:
         raise IngestError(f"{path}: no feature columns besides the target")
 
-    if normalize:
-        lo = features.min(axis=0)
-        span = features.max(axis=0) - lo
-        span[span == 0] = 1.0
-        features = (features - lo) / span
-        train_n = max(int(len(targets) * split + 1e-9), 1)
-        t_lo = targets[:train_n].min()
-        t_span = targets[:train_n].max() - t_lo
-        if t_span == 0:
-            t_span = 1.0
-        targets = np.clip((targets - t_lo) / t_span, 0.0, 1.0)
     try:
+        if normalize:
+            train_n = max(_train_count(len(targets), split), 1)  # checks split before its first use
+            lo = features.min(axis=0)
+            span = features.max(axis=0) - lo
+            span[span == 0] = 1.0
+            features = (features - lo) / span
+            t_lo = targets[:train_n].min()
+            t_span = targets[:train_n].max() - t_lo
+            if t_span == 0:
+                t_span = 1.0
+            targets = np.clip((targets - t_lo) / t_span, 0.0, 1.0)
         return Dataset(features=features, targets=targets, split=split)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc

@@ -43,6 +43,7 @@ class ExperimentConfig:
     or ``bundle`` (dataset mode, metric = running MSE of the chosen expert's
     predictions) must be given.  ``prob_generator`` takes two forms, ``("equal", p)``
     or ``("uniform", lo, hi)`` (drawn once per run); construction builds run 0's table.
+    A fixed loss table, given or the bundle's, must fit the graph and the horizon.
     """
 
     algorithms: tuple[str, ...]
@@ -81,14 +82,15 @@ class ExperimentConfig:
         object.__setattr__(self, "runs", _integer(self.runs, "runs"))
         object.__setattr__(self, "min_observations", _integer(self.min_observations, "min_observations"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
-        if self.bundle is not None:  # the arrays the metric reads, then the loss table as every job serves it
+        if self.bundle is not None:  # the arrays the metric reads
             shapes, k = (np.shape(self.bundle.predictions), np.shape(self.bundle.truths)), self.graph.num_experts
             if shapes != ((k, self.bundle.horizon), (self.bundle.horizon,)):
                 raise ConfigError(f"bad dataset bundle: predictions {shapes[0]}, truths {shapes[1]}; need ({k}, T), (T,)")
-            try:
-                _adversary(self).materialize(self.effective_horizon, k, None)
-            except ValueError as exc:
-                raise ConfigError(f"bad dataset bundle: {exc}") from exc
+        try:  # a fixed loss table as every job serves it; gap and switching tables are drawn per run
+            if isinstance(adversary := _adversary(self), FixedTableAdversary):
+                adversary.materialize(self.effective_horizon, self.graph.num_experts, None)
+        except ValueError as exc:
+            raise ConfigError(f"bad {'loss table' if self.bundle is None else 'dataset bundle'}: {exc}") from exc
         try:  # _probability_table alone reads the generator: build run 0's table with it
             _probability_table(self, 0)
         except (ValueError, TypeError) as exc:

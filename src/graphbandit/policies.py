@@ -863,10 +863,15 @@ def _encode_rng_state(rng: np.random.Generator):
 
 
 def _read_rng(text, name: str) -> np.random.Generator:
-    def conv(obj):
-        if isinstance(obj, dict) and "__array__" in obj:
-            return np.array(obj["__array__"], dtype=obj["dtype"])
-        return {k: conv(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+    def conv(obj):  # arrays are uint64 lists of JSON integers; the other numbers are JSON integers
+        if isinstance(obj, dict):
+            if "__array__" not in obj:
+                return {k: conv(v) for k, v in obj.items()}
+            if obj["dtype"] == "uint64" and all(type(v) is int and 0 <= v < 2**64 for v in obj["__array__"]):
+                return np.array(obj["__array__"], dtype=np.uint64)
+        elif isinstance(obj, str) or type(obj) is int:
+            return obj
+        raise ValueError(f"not a uint64 array or a JSON integer: {obj!r}")
 
     bit_gen = np.random.Philox()
     try:  # the setter rejects any other generator's state

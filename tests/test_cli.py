@@ -134,12 +134,24 @@ SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
         (SIMULATE + ["--K", "2", "--p", "uniform:0.5,0.2"], "need 0 < low <= high <= 1"),
         (SIMULATE + ["--K", "2", "--p", "equal:0"], "need 0 < p <= 1, got 0.0"),
         (SIMULATE + ["--K", "2", "--p", "equal:nan"], "need 0 < p <= 1, got nan"),
+        (["dataset", "--algo", "exp3", "--data", "{data}", "--target", "y", "--split", "nan"],
+         "split must be in (0, 1), got nan"),
+        (["dataset", "--algo", "exp3", "--data", "{data}", "--target", "y", "--split", "inf"],
+         "split must be in (0, 1), got inf"),
+        (["dataset", "--algo", "exp3", "--data", "{data}", "--target", "y", "--split", "0"],
+         "split must be in (0, 1), got 0.0"),
+        (["dataset", "--algo", "exp3", "--data", "{data}", "--target", "y", "--split", "1"],
+         "split must be in (0, 1), got 1.0"),
+        (SIMULATE + ["--K", "2", "--T", "200", "--adversary", "table:{data}"],
+         "bad loss table: loss table has 120 rows, horizon is 200"),
+        (SIMULATE + ["--K", "3", "--adversary", "table:{data}"], "bad loss table: loss table has 2 columns, graph has 3"),
     ],
     ids=["gap-nonnumeric", "gap-zero", "switching-period-zero", "switching-period-nonnumeric", "k-zero",
          "missing-graph-file", "missing-table-csv", "missing-data-csv", "simulate-negative-seed",
          "dataset-negative-seed", "oracle-zero-draws", "oracle-negative-draws", "oracle-negative-seed",
          "dataset-short-training-prefix", "gr-doubling-one-expert", "p-unknown-kind", "p-no-value",
-         "p-equal-two-values", "p-uniform-one-value", "p-uniform-reversed", "p-equal-zero", "p-equal-nan"],
+         "p-equal-two-values", "p-uniform-one-value", "p-uniform-reversed", "p-equal-zero", "p-equal-nan",
+         "split-nan", "split-inf", "split-zero", "split-one", "table-short", "table-narrow"],
 )
 def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, args, reason):
     missing = str(tmp_path / "missing.txt")
@@ -153,6 +165,29 @@ def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, ar
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert reason.replace("{missing}", missing) in lines[0]
+
+
+ROWS = "".join(f"{i / 30:.4f},{(i % 7) / 10:.4f},{(i % 5) / 5:.4f}\n" for i in range(30))
+
+
+@pytest.mark.parametrize(
+    "args, body",
+    [
+        (["dataset", "--algo", "exp3", "--data", "{csv}", "--target", "z"], "a,b,y,z\n" + ROWS),
+        (["dataset", "--algo", "exp3", "--data", "{csv}", "--target", "y"], "a,y\n" + ROWS),
+        (SIMULATE + ["--K", "2", "--adversary", "table:{csv}"], "a,a\n" + "0.1,0.2\n" * 30),
+        (SIMULATE + ["--K", "3", "--adversary", "table:{csv}"], "a,b\n" + ROWS),
+    ],
+    ids=["dataset-header-wider", "dataset-header-narrower", "table-header-repeated", "table-header-narrower"],
+)
+def test_header_must_name_every_column_once(tmp_path, capsys, args, body):
+    path = tmp_path / "in.csv"
+    path.write_text(body)
+    code = run_cli([arg.replace("{csv}", str(path)) for arg in args])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "header" in lines[0]
 
 
 class TestDataset:
@@ -183,6 +218,36 @@ class TestDataset:
         data = tmp_path / "data.csv"
         data.write_text("x1,y,y\n" + "\n".join("0.1,0.2,0.3" for _ in range(25)))
         assert run_cli(["dataset", "--algo", "exp3", "--data", str(data), "--target", "y"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--p", "equal:0"], "bad probability generator ('equal', 0.0)"),
+            (["--graph", "{missing}"], "{missing}: cannot read"),
+            (["--graph", "{graph3}"], "bad dataset bundle: predictions (9, 1), truths (1,); need (3, T)"),
+            (["--schedule", "bogus"], "unknown schedule 'bogus'"),
+            (["--T", "0"], "horizon must be an integer >= 1, got 0"),
+            (["--M", "0"], "min_observations must be an integer >= 1, got 0"),
+            (["--runs", "0"], "runs must be an integer >= 1, got 0"),
+            (["--xi", "0.5"], "confidence_width"),
+            (["--uninformative", "--algo", "exp3-ip"], "exp3-ip needs the informative setting"),
+        ],
+        ids=["p", "graph-missing", "graph-three-experts", "schedule", "horizon-zero", "floor-zero", "runs-zero",
+             "xi-below-one", "uninformative-exp3-ip"],
+    )
+    def test_flags_checked_before_the_data_is_read(self, tmp_path, monkeypatch, capsys, flags, reason):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the data was read before every flag was checked")
+
+        monkeypatch.setattr("graphbandit.cli.load_csv", refuse)
+        monkeypatch.setattr("graphbandit.cli.train_expert_pool", refuse)
+        missing, graph3 = str(tmp_path / "missing.txt"), tmp_path / "graph3.txt"
+        graph3.write_text("K=3\ncomplete\n")
+        flags = [flag.replace("{missing}", missing).replace("{graph3}", str(graph3)) for flag in flags]
+        code = run_cli(["dataset", "--algo", "exp3", "--data", missing, "--target", "y", *flags])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and reason.replace("{missing}", missing) in lines[0]
 
 
 class TestOracle:

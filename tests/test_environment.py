@@ -116,6 +116,26 @@ class TestAdversaries:
         with pytest.raises(IngestError, match=":1:"):
             FixedTableAdversary.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,a\n0.1,0.2\n0.3,0.4\n", "duplicate column name(s) ['a'] in the header"),
+            ("a,b\n0.1,0.2,0.3\n0.3,0.4,0.5\n", "the header names 2 columns, the first row has 3"),
+            ("a,b,c,d\n0.1,0.2,0.3\n0.3,0.4,0.5\n", "the header names 4 columns, the first row has 3"),
+            ("0.1,0.2\n0.3,0.4,0.5\n", "non-numeric or ragged rows at line(s) 2"),
+            ("a,b\n", "no data rows"),
+            ("\n\n", "empty file"),
+            ("0.1,0.2\n0.3,1.5\n", "losses must lie in [0, 1]"),
+        ],
+        ids=["duplicate-names", "header-narrower", "header-wider", "ragged", "header-only", "blank", "loss-above-one"],
+    )
+    def test_fixed_table_csv_rejected_naming_the_file_once(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError) as info:
+            FixedTableAdversary.from_csv(path)
+        assert str(info.value).count(str(path)) == 1 and message in str(info.value)
+
     def test_gap_adversary_means(self):
         adv = StochasticGapAdversary(gap=0.2, best_arm=2)
         table = adv.materialize(50_000, 3, np.random.default_rng(3))

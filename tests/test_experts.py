@@ -346,6 +346,29 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="duplicate column name"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("header", [["a", "b", "y", "z"], ["a", "y"]], ids=["wider", "narrower"])
+    def test_header_must_name_every_column(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        write_csv(path, header, [[i / 25, i / 50, (i % 5) / 5] for i in range(25)])
+        with pytest.raises(IngestError, match=f"the header names {len(header)} columns, the first row has 3"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("split", [math.nan, math.inf, -math.inf, 0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_split_checked_before_use(self, tmp_path, split, normalize):
+        write_csv(tmp_path / "d.csv", ["x", "y"], [[i / 25, i / 50] for i in range(25)])
+        with pytest.raises(IngestError, match="split must be in \\(0, 1\\)"):
+            load_csv(tmp_path / "d.csv", "y", normalize=normalize, split=split)
+
+    @pytest.mark.parametrize("split", [0.05, 0.1, 0.25, 0.3, 0.7, 0.99])
+    def test_normalization_prefix_is_the_training_prefix(self, tmp_path, split):
+        rows = [[i / 40, 10 + (i * 7919) % 97] for i in range(40)]
+        write_csv(tmp_path / "d.csv", ["x", "y"], rows)
+        data = load_csv(tmp_path / "d.csv", "y", split=split)
+        prefix = np.array([r[1] for r in rows[: max(data.train_count, 1)]])
+        lo, hi = prefix.min(), prefix.max()
+        np.testing.assert_array_equal(data.targets, np.clip((np.array([r[1] for r in rows]) - lo) / (hi - lo), 0, 1))
+
     def test_dataset_needs_twenty_rows(self, tmp_path):
         write_csv(tmp_path / "d.csv", ["a", "b"], [[1, 0.5]] * 5)
         with pytest.raises(IngestError, match="20 rows"):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from graphbandit.environment import FixedTableAdversary, StochasticGapAdversary, run_episode
+from graphbandit.environment import FixedTableAdversary, StochasticGapAdversary, SwitchingAdversary, run_episode
 from graphbandit.errors import ConfigError
 from graphbandit.experts import DatasetBundle, build_dataset_bundle, train_expert_pool
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph
@@ -178,6 +178,32 @@ class TestDatasetBundleChecks:
         bundle = DatasetBundle(predictions, truths, np.vstack([table, table]), ("e",) * 3)
         cfg = ExperimentConfig(("exp3",), NominalGraph.complete(3), ("equal", 0.5), bundle=bundle, horizon=20, runs=1)
         assert run_experiment(cfg).checkpoints[-1] == 20
+
+
+class TestFixedTableChecks:
+    """A given loss table that no job could serve fails at construction, as a bundle's does."""
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2, 3), "loss table has 2 rows, horizon is 100"), ((100, 2), "loss table has 2 columns, graph has 3")],
+        ids=["short", "narrow"],
+    )
+    def test_rejected_at_construction(self, shape, message):
+        adversary = FixedTableAdversary(np.full(shape, 0.5))
+        with pytest.raises(ConfigError, match=f"^bad loss table: {re.escape(message)}"):
+            small_config(adversary=adversary, horizon=100)
+
+    def test_longer_table_accepted(self):
+        cfg = small_config(adversary=FixedTableAdversary(np.full((120, 3), 0.5)), horizon=100, runs=1)
+        assert run_experiment(cfg).checkpoints[-1] == 100
+
+    @pytest.mark.parametrize("adversary", [StochasticGapAdversary(gap=0.2), SwitchingAdversary(gap=0.2, period=5)])
+    def test_drawn_tables_not_materialized_at_construction(self, monkeypatch, adversary):
+        def refuse(*args):
+            raise AssertionError("materialized at construction")
+
+        monkeypatch.setattr(type(adversary), "materialize", refuse)
+        small_config(adversary=adversary, horizon=10**9)
 
 
 class TestCheckpoints:

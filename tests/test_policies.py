@@ -938,6 +938,13 @@ class TestSnapshotValidation:
             ("exp3-up", lambda payload: payload.update(algorithm=3), "algorithm"),
             ("exp3-up", lambda payload: payload["config"].update(schedule="fixed:0.50"), "schedule"),
             ("exp3-gr", lambda extra: extra.update(capacity=3.0), "capacity"),
+            ("exp3", lambda payload: payload["rng"]["state"]["counter"].update(dtype="float64"), "rng"),
+            ("exp3", lambda payload: payload["rng"]["state"]["counter"]["__array__"].__setitem__(0, 1.5), "rng"),
+            ("exp3-ip", lambda payload: payload["rng"]["state"]["key"]["__array__"].__setitem__(1, True), "rng"),
+            ("exp3-up", lambda payload: payload["rng"]["buffer"]["__array__"].__setitem__(0, "7"), "rng"),
+            ("exp3", lambda payload: payload["rng"].update(buffer_pos=True), "rng"),
+            ("exp3-gr", lambda payload: payload["rng"].update(buffer_pos=4.0), "rng"),
+            ("exp3", lambda payload: payload["rng"].update(uinteger=1.5), "rng"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -960,7 +967,9 @@ class TestSnapshotValidation:
              "ring-above-capacity", "version-bool",
              "version-float", "version-string", "version-2", "version-missing", "top-level-junk", "config-junk",
              "up-extra-junk", "ip-extra-junk", "doubling-junk", "config-not-an-object", "extra-not-an-object",
-             "algorithm-number", "schedule-not-canonical", "capacity-float"],
+             "algorithm-number", "schedule-not-canonical", "capacity-float", "rng-float-dtype",
+             "rng-fractional-counter", "rng-bool-key", "rng-string-buffer", "rng-bool-buffer-pos",
+             "rng-float-buffer-pos", "rng-fractional-uinteger"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
