@@ -84,6 +84,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
         if self.bundle is not None:  # the arrays the metric reads
             shapes, k = (np.shape(self.bundle.predictions), np.shape(self.bundle.truths)), self.graph.num_experts
+            if len(shapes[0]) == 2 and shapes[0][0] != k:
+                raise ConfigError(f"bad dataset bundle: {shapes[0][0]} experts, the graph has {k}")
             if shapes != ((k, self.bundle.horizon), (self.bundle.horizon,)):
                 raise ConfigError(f"bad dataset bundle: predictions {shapes[0]}, truths {shapes[1]}; need ({k}, T), (T,)")
         try:  # a fixed loss table as every job serves it; gap and switching tables are drawn per run

@@ -9,10 +9,13 @@ chunks and compare the sample means against the closed-form expectations:
   resampled loss estimate has E[l_tilde] = (1 - (1 - q)^M) * l.
 
 The batch paths reuse the learners' kernels for the observation
-probabilities, the pmf sampler and the resampling trials, so a failing check
-indicts the production code.  The activations are the oracle's own: the
-ip checks draw K uniforms per repetition, where the episodes' ``_fire`` draws
-one per out-edge of the chosen expert.
+probabilities, the pmf sampler and the resampling trials (``_trial_slots``
+and ``_first_success``), so a failing check indicts the production code.  The
+activations are the oracle's own: the ip checks draw K uniforms per
+repetition, where the episodes' ``_fire`` draws one per out-edge of the
+chosen expert.  The resampling checks run on one expert, whose pmf sends
+every trial's expert draw to it: they skip those draws' region of the stream
+unread.
 
 A chunk's random arrays are drawn and used ``_TRIAL_BLOCK`` repetitions at a
 time, each region of its stream read through a generator copy at the
@@ -32,7 +35,7 @@ import numpy as np
 
 from .estimator import Pmf, _skip_doubles, sample_positions
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import _integer, _resample_trials, observation_probs
+from .policies import _first_success, _integer, _trial_slots, observation_probs
 
 __all__ = ["MomentCheck", "ip_estimator_checks", "resampling_checks", "default_suite"]
 
@@ -75,14 +78,12 @@ def _moment(name: str, total: float, total_sq: float, n: int, expected: float) -
     return MomentCheck(name=name, observed=mean, expected=expected, stderr=math.sqrt(var / n), draws=n)
 
 
-def _readers(rng: np.random.Generator, *sizes: int) -> list[np.random.Generator]:
-    """A copy of ``rng`` at the start of each of the consecutive regions of
-    ``sizes`` doubles in its stream; ``rng`` moves past them all."""
-    readers = []
-    for size in sizes:
-        readers.append(copy.deepcopy(rng))
-        _skip_doubles(rng, size)
-    return readers
+def _reader(rng: np.random.Generator, size: int) -> np.random.Generator:
+    """A copy of ``rng`` at the start of the next ``size`` doubles in its
+    stream; ``rng`` moves past them."""
+    reader = copy.deepcopy(rng)
+    _skip_doubles(rng, size)
+    return reader
 
 
 def ip_estimator_checks(
@@ -113,7 +114,7 @@ def ip_estimator_checks(
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
-        (choices,) = _readers(rng, m)  # rng moves on to the activations
+        choices = _reader(rng, m)  # rng moves on to the activations
         part = np.empty((3, k))  # each row's sum over the chunk, carried across blocks in row order
         for lo in range(0, m, block):
             n = min(block, m - lo)
@@ -143,28 +144,33 @@ def resampling_checks(
     """Simulate the resampling pipeline on a one-expert self-loop graph whose
     activation probability is ``q``, with fresh window contents per draw.
 
+    A chunk's stream holds its windows, the trials' expert draws and the
+    permutation keys, M per repetition each, then one observed draw per
+    repetition.  Every expert draw picks the one expert, so that region is
+    skipped, not drawn; each trial reads the window slot ``_trial_slots``
+    gives it, and ``_first_success`` counts the trials to the first hit.
+
     Returns (trial-count check, resampled-loss check) against
     E[Q] = (1 - (1-q)^M) / q and E[l_tilde] = (1 - (1-q)^M) * l.
     """
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
     draws, chunk, window = _integer(draws, "draws"), _integer(chunk, "chunk"), _integer(window, "window")
-    cum = np.array([1.0])  # point-mass selection on the single expert
     sum_q = sum_q2 = 0.0
     sum_l = sum_l2 = 0.0
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
         size = m * window
-        windows, uniforms, keys = _readers(rng, size, size, size)  # rng moves on to the observed draws
+        windows = _reader(rng, size)
+        _skip_doubles(rng, size)  # the trials' expert draws: a one-expert pmf never reads them
+        keys = _reader(rng, size)  # rng moves on to the observed draws
         trials = np.empty(m)
         for lo in range(0, m, _TRIAL_BLOCK):
             n = min(_TRIAL_BLOCK, m - lo)
-            samples = (windows.random((n, window)) < q).astype(np.uint8)
-            row_of = np.arange(n)[:, None]  # repetition i reads window row i
-            trials[lo : lo + n] = _resample_trials(
-                cum, uniforms.random((n, window)), row_of, keys.random((n, window)), samples
-            )
+            samples = windows.random((n, window)) < q
+            rows = np.arange(n)[:, None]  # repetition i reads window row i
+            trials[lo : lo + n] = _first_success(True, samples[rows, _trial_slots(keys.random((n, window)), rows)])
         observed = rng.random(m) < q
         est = trials * loss * observed
         sum_q += trials.sum()

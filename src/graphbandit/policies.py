@@ -514,17 +514,6 @@ def _trial_slots(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return keys.argsort(axis=-1)[rows, np.arange(keys.shape[1])]
 
 
-def _resample_trials(
-    cum: np.ndarray, uniforms: np.ndarray, row_of: np.ndarray, keys: np.ndarray, windows: np.ndarray
-) -> np.ndarray:
-    """Capped first-success trial counts from whole window rows, the (rows,
-    M) 0/1 ``windows``: row i of the (n, M) ``uniforms`` draws trials 1..M's
-    experts from ``cum``, the pmf's running sum, and ``row_of[i, d]`` is the
-    window row of edge (d, row i's target), or -1 for a non-edge."""
-    rows = row_of[np.arange(uniforms.shape[0])[:, None], _invert_cdf(cum, uniforms)]
-    return _first_success(rows >= 0, windows[rows, _trial_slots(keys, rows)])  # a -1 row reads the last row
-
-
 def _first_success(in_edge: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Capped first-success trial counts: min(first successful trial, M)
     per row, in [1, M], from the (n, M) samples the trials read and the mask

@@ -224,7 +224,7 @@ class TestDataset:
         [
             (["--p", "equal:0"], "bad probability generator ('equal', 0.0)"),
             (["--graph", "{missing}"], "{missing}: cannot read"),
-            (["--graph", "{graph3}"], "bad dataset bundle: predictions (9, 1), truths (1,); need (3, T)"),
+            (["--graph", "{graph3}"], "bad dataset bundle: 9 experts, the graph has 3"),
             (["--schedule", "bogus"], "unknown schedule 'bogus'"),
             (["--T", "0"], "horizon must be an integer >= 1, got 0"),
             (["--M", "0"], "min_observations must be an integer >= 1, got 0"),

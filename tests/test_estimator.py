@@ -7,6 +7,7 @@ from graphbandit.errors import InvariantError
 from graphbandit.estimator import (
     Pmf,
     WeightVector,
+    _invert_cdf,
     _normalized,
     _softmax,
     exp_weight_update,
@@ -15,7 +16,7 @@ from graphbandit.estimator import (
 )
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, greedy_dominating_set
 from graphbandit.oracles import _moment, ip_estimator_checks
-from graphbandit.policies import _inflated_divisors, _resample_trials, exp3ip_pmf, observation_probs
+from graphbandit.policies import _first_success, _inflated_divisors, _trial_slots, exp3ip_pmf, observation_probs
 
 
 class TestPmf:
@@ -206,7 +207,8 @@ class TestErdosRenyiIdentities:
             row_of = np.where(slot >= 0, np.arange(n)[:, None] * sources.size + slot, -1)
             windows = (rng.random((n * sources.size, window)) < p).astype(np.uint8)
             keys = rng.random((n * sources.size, window))
-            trials = _resample_trials(np.cumsum(pmf.probs), rng.random((n, window)), row_of, keys, windows)
+            rows = row_of[np.arange(n)[:, None], _invert_cdf(np.cumsum(pmf.probs), rng.random((n, window)))]
+            trials = _first_success(rows >= 0, windows[rows, _trial_slots(keys, rows)])  # a -1 row reads the last row
             expected = (1 - (1 - q[j]) ** window) / q[j]
             check = _moment(f"mean trial count, arm {j + 1}", trials.sum(), (trials * trials).sum(), n, expected)
             assert check.passed(4.0), check.describe()

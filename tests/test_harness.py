@@ -180,6 +180,14 @@ class TestDatasetBundleChecks:
         assert run_experiment(cfg).checkpoints[-1] == 20
 
 
+@pytest.mark.parametrize("experts", [2, 9])
+def test_bundle_expert_count_named_before_its_shape(experts):
+    """A bundle of the wrong expert count names both counts, whatever its length."""
+    bundle = DatasetBundle(np.zeros((experts, 1)), np.zeros(1), np.zeros((1, experts)), ("e",) * experts)
+    with pytest.raises(ConfigError, match=f"^bad dataset bundle: {experts} experts, the graph has 3$"):
+        ExperimentConfig(("exp3",), NominalGraph.complete(3), ("equal", 0.5), bundle=bundle, horizon=5, runs=1)
+
+
 class TestFixedTableChecks:
     """A given loss table that no job could serve fails at construction, as a bundle's does."""
 

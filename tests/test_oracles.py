@@ -13,10 +13,17 @@ import pytest
 
 import graphbandit
 
-from graphbandit.estimator import _SKIP_BLOCK, Pmf, WeightVector, _skip_doubles, sample_positions
+from graphbandit.estimator import _SKIP_BLOCK, Pmf, WeightVector, _invert_cdf, _skip_doubles, sample_positions
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, greedy_dominating_set
 from graphbandit.oracles import _TRIAL_BLOCK, _moment, ip_estimator_checks, resampling_checks
-from graphbandit.policies import _resample_trials, exp3ip_pmf, observation_probs
+from graphbandit.policies import (
+    ResampleBuffer,
+    _first_success,
+    _resample_targets,
+    _trial_slots,
+    exp3ip_pmf,
+    observation_probs,
+)
 
 
 def state_of(rng):
@@ -71,8 +78,9 @@ def reference_resampling_checks(q, window, loss, draws, rng, chunk=200_000):
         trials = np.empty(m)
         for lo in range(0, m, 16_384):
             block = slice(lo, lo + 16_384)
-            row_of = np.arange(keys[block].shape[0])[:, None]
-            trials[block] = _resample_trials(cum, uniforms[block], row_of, keys[block], windows[block])
+            row_of = np.arange(keys[block].shape[0])[:, None]  # repetition i reads window row i
+            rows = row_of[row_of, _invert_cdf(cum, uniforms[block])]  # as the learner maps its expert draws
+            trials[block] = _first_success(rows >= 0, windows[block][rows, _trial_slots(keys[block], rows)])
         observed = rng.random(m) < q
         est = trials * loss * observed
         sum_q += trials.sum()
@@ -166,6 +174,39 @@ class TestBlockedDrawsMatchWholeArrays:
             q, window, 0.8, draws, ref, chunk=chunk
         )
         assert state_of(rng) == state_of(ref)
+
+
+class StackedRows:
+    """A generator stand-in whose one ``random`` call returns its rows stacked."""
+
+    def __init__(self, *rows):
+        self.rows = np.vstack(rows)
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows
+
+
+@pytest.mark.parametrize("q, window", [(0.1, 5), (0.9, 25), (0.5, 1)])
+def test_trial_counts_are_exp3_gr_counts(q, window):
+    """The oracle's trial counts are those exp3-gr's kernel computes on a
+    one-expert graph from each repetition's window and keys: its block for the
+    one target is a row of expert draws, then the self-loop's row of keys."""
+    draws = 300
+    rng = np.random.Generator(np.random.Philox(6))
+    regions = copy.deepcopy(rng)
+    trial_check, _ = resampling_checks(q, window, 0.8, draws, rng)
+    samples, uniforms, keys = (regions.random((draws, window)) for _ in range(3))
+    graph = NominalGraph.complete(1)
+    counts = np.empty(draws)
+    for i in range(draws):
+        buffers = ResampleBuffer(graph, window)
+        buffers._record(0, (samples[i] < q)[:, None])  # the window oldest first
+        g = StackedRows(uniforms[i], keys[i])
+        counts[i] = _resample_targets(np.array([1.0]), buffers, np.array([0]), window, g)[0]
+    hit = 1.0 - (1.0 - q) ** window
+    # Sums of integers: the summation order cannot change them.
+    assert _moment(trial_check.name, counts.sum(), (counts * counts).sum(), draws, hit / q) == trial_check
 
 
 def traced_peak_mb(call):
