@@ -83,17 +83,14 @@ def _parse_adversary(text: str):
 
 
 def _resolve_graph(args, num_experts: int | None) -> NominalGraph:
-    """The graph, from a shorthand or a graph file; a file's probabilities are refused for ``--p``."""
+    """The graph, from a shorthand on ``num_experts`` experts or a graph file, which sets its own K."""
     if num_experts is not None and num_experts < 1:
         raise ConfigError(f"--K must be >= 1, got {num_experts}")
     if args.graph in ("complete", "bandit"):
         if num_experts is None:
             raise ConfigError(f"--graph {args.graph} needs --K")
         return (NominalGraph.complete if args.graph == "complete" else NominalGraph.bandit)(num_experts)
-    graph, probs = load_graph_file(args.graph)
-    if probs is not None:
-        raise ConfigError(f"{args.graph} carries probabilities; use --p to control them instead")
-    return graph
+    return load_graph_file(args.graph)
 
 
 def _build_config(args, graph, adversary=None, bundle=None, horizon=None) -> ExperimentConfig:
@@ -136,6 +133,8 @@ def _finish(result, cfg, args) -> None:
 
 def _cmd_simulate(args) -> int:
     graph = _resolve_graph(args, args.num_experts)
+    if args.num_experts not in (None, graph.num_experts):
+        raise ConfigError(f"--K {args.num_experts} disagrees with {args.graph}, which has {graph.num_experts} experts")
     adversary = _parse_adversary(args.adversary)
     cfg = _build_config(args, graph, adversary=adversary, horizon=args.horizon)
     result = run_experiment(cfg)
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="synthetic adversary, regret output")
     _add_shared_flags(simulate)
     simulate.add_argument("--K", dest="num_experts", type=int, default=None,
-                          help="number of experts (for the complete/bandit shorthands)")
+                          help="number of experts (for the complete/bandit shorthands; must match a graph file)")
     simulate.add_argument("--T", dest="horizon", type=int, required=True, help="number of rounds")
     simulate.add_argument("--adversary", default="gap:0.1",
                           help="gap:<g> | switching:<g>,<period> | table:<csv> (default gap:0.1)")

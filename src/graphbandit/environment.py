@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, IngestError
+from .errors import ContractError, IngestError, _integer
 from .estimator import _skip_doubles
 from .experts import _csv_table
-from .graph import EdgeProbabilityTable, NominalGraph
+from .graph import EdgeProbabilityTable, NominalGraph, _check_fits
 
 __all__ = [
     "FeedbackEvent",
@@ -108,18 +108,25 @@ class FixedTableAdversary:
         return self.table[:horizon]
 
 
+def _check_means(gap, base) -> None:
+    """The gap adversaries' means: numbers (not bools) with 0 < gap <= base <= 1."""
+    if isinstance(gap, (bool, np.bool_)) or isinstance(base, (bool, np.bool_)) or not 0 < gap <= base <= 1:
+        raise ValueError(f"need 0 < gap <= base <= 1, got gap={gap} base={base}")
+
+
 @dataclass(frozen=True)
 class StochasticGapAdversary:
     """I.i.d. Bernoulli losses with one best arm whose mean sits ``gap`` below
-    the rest (base for the others, base - gap for the best arm)."""
+    the rest (base for the others, base - gap for the best arm).  ``best_arm``
+    is a 1-based integer; ``gap`` and ``base`` are numbers, not bools."""
 
     gap: float
     best_arm: int = 1
     base: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.gap <= self.base <= 1:
-            raise ValueError(f"need 0 < gap <= base <= 1, got gap={self.gap} base={self.base}")
+        _check_means(self.gap, self.base)
+        object.__setattr__(self, "best_arm", _integer(self.best_arm, "best_arm"))
 
     def materialize(self, horizon: int, num_experts: int, rng: np.random.Generator) -> np.ndarray:
         if not 1 <= self.best_arm <= num_experts:
@@ -130,17 +137,15 @@ class StochasticGapAdversary:
 @dataclass(frozen=True)
 class SwitchingAdversary:
     """Like the gap adversary, but the identity of the best arm rotates every
-    ``period`` rounds."""
+    ``period`` rounds, an integer >= 1."""
 
     gap: float
     period: int
     base: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.gap <= self.base <= 1:
-            raise ValueError(f"need 0 < gap <= base <= 1, got gap={self.gap} base={self.base}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+        _check_means(self.gap, self.base)
+        object.__setattr__(self, "period", _integer(self.period, "period"))
 
     def materialize(self, horizon: int, num_experts: int, rng: np.random.Generator) -> np.ndarray:
         return _gap_table(rng, horizon, num_experts, self.base, self.gap, lambda r: r // self.period % num_experts)
@@ -176,6 +181,7 @@ def realize_feedback(
     loss is recorded regardless.
     """
     _check_chosen(graph, chosen)
+    _check_fits(graph, probs.probs)
     losses = np.asarray(losses, dtype=float)
     if losses.shape != (graph.num_experts,):
         raise ContractError(f"expected {graph.num_experts} losses, got shape {losses.shape}")
@@ -209,6 +215,7 @@ class _Feedback:
     used.  Edges are in row-major order: a source's are contiguous."""
 
     def __init__(self, graph: NominalGraph, probs: EdgeProbabilityTable, rng: np.random.Generator):
+        _check_fits(graph, probs.probs)
         self._rng, self._reader = rng, copy.deepcopy(rng)
         self._block, self._pos, self._drawn = np.empty(0), 0, 0
         self._out = graph.out_positions
@@ -280,7 +287,7 @@ def run_episode(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     loss_rng = substream(seed, LOSS_STREAM)
-    feedback_rng = substream(seed, FEEDBACK_STREAM)
+    feedback = _Feedback(graph, probs, substream(seed, FEEDBACK_STREAM))  # checks the table before the reseed
     learner.reseed(np.random.SeedSequence(seed, spawn_key=(LEARNER_STREAM,)))
     table = adversary.materialize(horizon, graph.num_experts, loss_rng)
     table = np.asarray(table, dtype=float)
@@ -291,7 +298,6 @@ def run_episode(
 
     observe = getattr(learner, "_observe", None)
     explore = getattr(learner, "_explore_run", None)
-    feedback = _Feedback(graph, probs, feedback_rng)
     chosen = np.empty(horizon, dtype=np.int64)
     t = 1
     while t <= horizon:

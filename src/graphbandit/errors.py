@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check that raises ConfigError."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -23,3 +25,12 @@ class PhaseOrderError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """An internal numerical invariant failed; usually signals a bug upstream."""
+
+
+def _integer(value, name: str, least: int = 1) -> int:
+    """``value``, an integer >= ``least`` (numpy's too, not a bool), as an
+    int; anything else raises ConfigError naming the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value)

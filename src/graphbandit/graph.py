@@ -114,12 +114,11 @@ class NominalGraph:
 @dataclass(frozen=True)
 class EdgeProbabilityTable:
     """Per-edge observation probabilities: entry (i, j) is the chance that a
-    loss at j is revealed when i is chosen.  ``epsilon`` is a strictly
-    positive lower bound holding on every edge; non-edge entries are zero and
-    never read."""
+    loss at j is revealed when i is chosen; non-edge entries are zero and
+    never read.  The lower bound epsilon that exp3-gr's doubling needs is
+    ``LearnerConfig.epsilon``, not part of the table."""
 
     probs: np.ndarray
-    epsilon: float
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -127,34 +126,33 @@ class EdgeProbabilityTable:
             raise ValueError(f"probability table must be square, got {probs.shape}")
         if not np.isfinite(probs).all() or (probs < 0).any() or (probs > 1).any():
             raise ValueError("edge probabilities must lie in [0, 1]")
-        if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @classmethod
     def from_probs(cls, graph: NominalGraph, probs, epsilon: float | None = None) -> "EdgeProbabilityTable":
-        """Validate ``probs`` against ``graph``: edges in [epsilon, 1], non-edges 0."""
+        """Validate ``probs`` against ``graph``: non-edges exactly 0, edges in
+        [epsilon, 1] for an epsilon in (0, 1], by default the smallest edge
+        probability.  The bound is checked, not stored."""
         probs = np.asarray(probs, dtype=float)
-        if probs.shape != graph.adjacency.shape:
-            raise ValueError("probability table shape does not match the graph")
+        _check_fits(graph, probs)
         if (probs[~graph.adjacency] != 0).any():
             raise ValueError("non-edge entries must be exactly 0")
         edge_probs = probs[graph.adjacency]
         if epsilon is None:
             epsilon = float(edge_probs.min())
+        if isinstance(epsilon, (bool, np.bool_)) or not 0 < epsilon <= 1:
+            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
         if (edge_probs < epsilon).any():
             raise ValueError("some edge probability is below the stated epsilon")
-        return cls(probs, epsilon)
+        return cls(probs)
 
     @classmethod
     def constant(cls, graph: NominalGraph, value: float) -> "EdgeProbabilityTable":
         if isinstance(value, (bool, np.bool_)) or not 0 < value <= 1:
             raise ValueError(f"need 0 < p <= 1, got {value}")
-        probs = np.where(graph.adjacency, float(value), 0.0)
-        return cls.from_probs(graph, probs, epsilon=float(value))
+        return cls(np.where(graph.adjacency, float(value), 0.0))
 
     @classmethod
     def uniform(cls, graph: NominalGraph, low: float, high: float, rng) -> "EdgeProbabilityTable":
@@ -162,8 +160,13 @@ class EdgeProbabilityTable:
         if isinstance(low, (bool, np.bool_)) or isinstance(high, (bool, np.bool_)) or not 0 < low <= high <= 1:
             raise ValueError(f"need 0 < low <= high <= 1, got [{low}, {high}]")
         draws = rng.uniform(low, high, size=graph.adjacency.shape)
-        probs = np.where(graph.adjacency, draws, 0.0)
-        return cls.from_probs(graph, probs, epsilon=low)
+        return cls(np.where(graph.adjacency, draws, 0.0))
+
+
+def _check_fits(graph: NominalGraph, probs: np.ndarray) -> None:
+    """Refuse a probability matrix (a table's ``probs``) whose shape is not ``graph``'s (K, K)."""
+    if probs.shape != graph.adjacency.shape:
+        raise ValueError(f"probability table has shape {probs.shape}, the graph has {graph.num_experts} experts")
 
 
 def greedy_dominating_set(graph: NominalGraph) -> VertexSet:
@@ -222,17 +225,15 @@ def _mis_size(mask: int, nbr: list[int]) -> int:
     return max(without, with_v)
 
 
-def load_graph_file(path) -> tuple[NominalGraph, np.ndarray | None]:
-    """Parse the graph literal format.
+def load_graph_file(path) -> NominalGraph:
+    """Parse the graph literal format: structure only, as ``--p`` sets the probabilities.
 
     Line 1 must be ``K=<int>``.  The body is either a single shorthand line
-    (``complete [p]`` or ``bandit [p]``) or a list of ``edge i j [p]`` lines
-    with 1-based endpoints.  Per-edge probabilities must be given for all
-    edges or none; missing self-loops are an error, never silently added.
-    Blank lines and ``#`` comments are ignored.
-
-    Returns the graph plus the probability matrix, or None when the file
-    carries no probabilities.
+    (``complete`` or ``bandit``) or a list of ``edge i j`` lines with 1-based
+    endpoints; missing self-loops are an error, never silently added.  A line
+    with an extra field, such as a probability (``complete 0.5``, ``edge 1 2
+    0.5``), is an error naming its line.  Blank lines and ``#`` comments are
+    ignored.
     """
     path = Path(path)
     try:
@@ -260,27 +261,22 @@ def load_graph_file(path) -> tuple[NominalGraph, np.ndarray | None]:
     body = lines[1:]
     if not body:
         raise IngestError(f"{path}: no edges after the K= line")
-
-    first_word = body[0][1].split()[0]
-    if first_word in ("complete", "bandit"):
-        if len(body) > 1:
-            raise IngestError(f"{path}:{body[1][0]}: no lines allowed after a shorthand")
-        parts = body[0][1].split()
-        graph = NominalGraph.complete(num_experts) if first_word == "complete" else NominalGraph.bandit(num_experts)
-        if len(parts) == 1:
-            return graph, None
-        if len(parts) == 2:
-            value = _parse_prob(path, body[0][0], parts[1])
-            return graph, np.where(graph.adjacency, value, 0.0)
-        raise IngestError(f"{path}:{body[0][0]}: expected '{first_word} [p]'")
-
-    adj = np.zeros((num_experts, num_experts), dtype=bool)
-    probs = np.zeros((num_experts, num_experts), dtype=float)
-    saw_prob: bool | None = None
     for lineno, text in body:
         parts = text.split()
-        if parts[0] != "edge" or len(parts) not in (3, 4):
-            raise IngestError(f"{path}:{lineno}: expected 'edge i j [p]', got {text!r}")
+        if len(parts) > {"complete": 1, "bandit": 1, "edge": 3}.get(parts[0], len(parts)):  # other words: below
+            raise IngestError(f"{path}:{lineno}: too many fields in {text!r}; --p sets the probabilities")
+
+    shorthand = body[0][1]
+    if shorthand in ("complete", "bandit"):
+        if len(body) > 1:
+            raise IngestError(f"{path}:{body[1][0]}: no lines allowed after a shorthand")
+        return NominalGraph.complete(num_experts) if shorthand == "complete" else NominalGraph.bandit(num_experts)
+
+    adj = np.zeros((num_experts, num_experts), dtype=bool)
+    for lineno, text in body:
+        parts = text.split()
+        if parts[0] != "edge" or len(parts) != 3:
+            raise IngestError(f"{path}:{lineno}: expected 'edge i j', got {text!r}")
         try:
             i, j = int(parts[1]), int(parts[2])
         except ValueError as exc:
@@ -290,26 +286,8 @@ def load_graph_file(path) -> tuple[NominalGraph, np.ndarray | None]:
         if adj[i - 1, j - 1]:
             raise IngestError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
         adj[i - 1, j - 1] = True
-        has_prob = len(parts) == 4
-        if saw_prob is None:
-            saw_prob = has_prob
-        elif saw_prob != has_prob:
-            raise IngestError(f"{path}:{lineno}: probabilities must be given for all edges or none")
-        if has_prob:
-            probs[i - 1, j - 1] = _parse_prob(path, lineno, parts[3])
 
     missing = [str(v + 1) for v in range(num_experts) if not adj[v, v]]
     if missing:
         raise IngestError(f"{path}: missing self-loop for expert(s) {', '.join(missing)}")
-    graph = NominalGraph(adj)
-    return graph, (probs if saw_prob else None)
-
-
-def _parse_prob(path, lineno: int, token: str) -> float:
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise IngestError(f"{path}:{lineno}: bad probability {token!r}") from exc
-    if not 0 < value <= 1:
-        raise IngestError(f"{path}:{lineno}: probability {value} outside (0, 1]")
-    return value
+    return NominalGraph(adj)

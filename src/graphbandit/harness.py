@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, run_episode, substream
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import LearnerConfig, _integer, make_learner
+from .policies import LearnerConfig, make_learner
 from .schedulers import InverseSqrtEta, Schedule
 
 __all__ = [

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer
 from .estimator import Pmf, _skip_doubles, sample_positions
 from .graph import EdgeProbabilityTable, NominalGraph
-from .policies import _first_success, _integer, _trial_slots, observation_probs
+from .policies import _first_success, _trial_slots, observation_probs
 
 __all__ = ["MomentCheck", "ip_estimator_checks", "resampling_checks", "default_suite"]
 

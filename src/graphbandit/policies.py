@@ -41,14 +41,14 @@ from functools import partial
 import numpy as np
 
 from .environment import FeedbackEvent
-from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError
+from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError, _integer
 from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
 from .estimator import PMF_TOLERANCE, _cumsum, _max, _min, _softmax, _sum
 
 # Public views of the kernels above, kept importable from this module, where
 # perfbench/tracer.py looks them up; the learners call the kernels.
 from .estimator import exp_weight_update, importance_loss_estimate, sample_index  # noqa: F401
-from .graph import EdgeProbabilityTable, NominalGraph, VertexSet, greedy_dominating_set
+from .graph import EdgeProbabilityTable, NominalGraph, VertexSet, _check_fits, greedy_dominating_set
 from .schedulers import (
     DoublingSchedule,
     DoublingState,
@@ -114,15 +114,6 @@ class LearnerConfig:
             raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
 
 
-def _integer(value, name: str, least: int = 1) -> int:
-    """``value``, an integer >= ``least`` (numpy's too, not a bool), as an
-    int; anything else raises ConfigError naming the field ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Selection distributions and observation probabilities
 # ---------------------------------------------------------------------------
@@ -139,6 +130,7 @@ def _informed_table(graph: NominalGraph, probs: EdgeProbabilityTable, dominating
     computed once: the edge probabilities with 0 on non-edges, the 0-based
     dominating-set positions and each member's share of their expected
     observations."""
+    _check_fits(graph, probs.probs)
     masked = np.where(graph.adjacency, probs.probs, 0.0)
     expected = masked.sum(axis=1)
     dom = _positions(dominating)
@@ -186,6 +178,7 @@ def observation_probs(pmf: Pmf, graph: NominalGraph, probs: EdgeProbabilityTable
     """Exact probability that each expert's loss gets observed this round:
     entry i-1 sums, over expert i's in-neighbours, selection probability
     times edge probability."""
+    _check_fits(graph, probs.probs)
     masked = np.where(graph.adjacency, probs.probs, 0.0)
     return pmf.probs @ masked
 

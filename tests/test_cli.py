@@ -45,15 +45,14 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "body, line, reason",
         [
-            ("edge 1 2 nan\n", 4, "probability nan outside (0, 1]"),
-            ("edge 1 2 inf\n", 4, "probability inf outside (0, 1]"),
-            ("edge 1 2 0.5\nedge 1 2 0.5\n", 5, "duplicate edge (1, 2)"),
+            ("edge 1 2 0.5\n", 4, "too many fields in 'edge 1 2 0.5'; --p sets the probabilities"),
+            ("edge 1 2\nedge 1 2\n", 5, "duplicate edge (1, 2)"),
         ],
-        ids=["nan", "inf", "duplicate"],
+        ids=["edge-with-probability", "duplicate"],
     )
     def test_bad_graph_file_is_config_error_naming_the_line(self, tmp_path, capsys, body, line, reason):
         graph_file = tmp_path / "g.txt"
-        graph_file.write_text("K=2\nedge 1 1 1\nedge 2 2 1\n" + body)
+        graph_file.write_text("K=2\nedge 1 1\nedge 2 2\n" + body)
         code = run_cli(["simulate", "--algo", "exp3-dom", "--graph", str(graph_file), "--T", "10", "--runs", "1"])
         assert code == 2
         assert f"{graph_file}:{line}: {reason}" in capsys.readouterr().err
@@ -73,10 +72,22 @@ class TestSimulate:
 
     def test_graph_file_with_probabilities_is_config_error(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"
-        graph_file.write_text("K=2\nedge 1 1 0.5\nedge 2 2 0.5\nedge 1 2 0.5\n")
+        graph_file.write_text("K=2\n\ncomplete 0.5\n")
         code = run_cli(["simulate", "--algo", "exp3-dom", "--graph", str(graph_file), "--T", "10", "--runs", "1"])
         assert code == 2
-        assert "carries probabilities" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{graph_file}:3: too many fields in 'complete 0.5'; --p sets the probabilities" in err
+
+    @pytest.mark.parametrize("flags, code", [(["--K", "5"], 2), (["--K", "1"], 2), (["--K", "3"], 0), ([], 0)],
+                             ids=["more", "fewer", "matching", "absent"])
+    def test_k_must_match_a_graph_file(self, tmp_path, capsys, flags, code):
+        graph_file = tmp_path / "g3.txt"
+        graph_file.write_text("K=3\nedge 1 1\nedge 2 2\nedge 3 3\nedge 1 2\n")
+        args = ["simulate", "--algo", "exp3", "--graph", str(graph_file), "--T", "20", "--runs", "1"]
+        assert run_cli(args + flags) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code:
+            assert lines == [f"error: --K {flags[1]} disagrees with {graph_file}, which has 3 experts"]
 
     def test_table_adversary(self, tmp_path):
         table = tmp_path / "losses.csv"
@@ -110,7 +121,7 @@ SIMULATE = ["simulate", "--algo", "exp3", "--T", "10", "--runs", "1"]
     [
         (SIMULATE + ["--K", "2", "--adversary", "gap:abc"], "bad adversary spec 'gap:abc'"),
         (SIMULATE + ["--K", "2", "--adversary", "gap:0"], "need 0 < gap <= base"),
-        (SIMULATE + ["--K", "2", "--adversary", "switching:0.1,0"], "period must be >= 1"),
+        (SIMULATE + ["--K", "2", "--adversary", "switching:0.1,0"], "period must be an integer >= 1, got 0"),
         (SIMULATE + ["--K", "2", "--adversary", "switching:0.1,x"], "bad adversary spec 'switching:0.1,x'"),
         (SIMULATE + ["--K", "0"], "--K must be >= 1, got 0"),
         (SIMULATE + ["--graph", "{missing}"], "{missing}: cannot read: No such file or directory"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,36 @@ class TestAdversaries:
         block_means = table.reshape(6, 10, 3).mean(axis=1)
         assert np.argmin(block_means, axis=1).tolist() == [0, 1, 2, 0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SwitchingAdversary(0.1, period=2.5), "period must be an integer >= 1, got 2.5"),
+            (lambda: SwitchingAdversary(0.1, period=True), "period must be an integer >= 1, got True"),
+            (lambda: SwitchingAdversary(0.1, period=0), "period must be an integer >= 1, got 0"),
+            (lambda: StochasticGapAdversary(0.1, best_arm=1.5), "best_arm must be an integer >= 1, got 1.5"),
+            (lambda: StochasticGapAdversary(0.1, best_arm=True), "best_arm must be an integer >= 1, got True"),
+            (lambda: StochasticGapAdversary(0.1, best_arm=0), "best_arm must be an integer >= 1, got 0"),
+            (lambda: StochasticGapAdversary(True, base=1), "need 0 < gap <= base <= 1, got gap=True base=1"),
+            (lambda: StochasticGapAdversary(0.1, base=True), "need 0 < gap <= base <= 1, got gap=0.1 base=True"),
+            (lambda: SwitchingAdversary(np.bool_(True), period=3, base=1), "need 0 < gap <= base"),
+            (lambda: SwitchingAdversary(0.1, period=3, base=True), "need 0 < gap <= base"),
+        ],
+        ids=["period-fraction", "period-bool", "period-zero", "best-arm-fraction", "best-arm-bool", "best-arm-zero",
+             "gap-bool", "base-bool", "switching-gap-bool", "switching-base-bool"],
+    )
+    def test_parameters_checked_by_type_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_numpy_integer_parameters_stored_as_int(self):
+        switching = SwitchingAdversary(0.1, period=np.int64(4))
+        gap = StochasticGapAdversary(0.1, best_arm=np.int32(2))
+        assert type(switching.period) is int and switching.period == 4
+        assert type(gap.best_arm) is int and gap.best_arm == 2
+        assert SwitchingAdversary(0.1, period=4).materialize(40, 3, np.random.default_rng(1)).tobytes() == (
+            switching.materialize(40, 3, np.random.default_rng(1)).tobytes()
+        )
+
 
 class TestRunEpisode:
     def test_single_expert_zero_regret(self):
@@ -238,3 +270,27 @@ def test_substreams_are_disjoint():
     a = substream(5, 0).random(8)
     b = substream(5, 1).random(8)
     assert not np.allclose(a, b)
+
+
+class TestTableForAnotherGraph:
+    """A probability table built for another graph is refused where it meets
+    the graph, naming both sizes, before any draw."""
+
+    GRAPH = NominalGraph.from_edges(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_realize_feedback(self, size):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        other = EdgeProbabilityTable.constant(NominalGraph.complete(size), 0.5)
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+            realize_feedback(self.GRAPH, other, 1, np.full(3, 0.5), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_run_episode_leaves_the_learner_alone(self, size):
+        learner = StubLearner(index=1)
+        other = EdgeProbabilityTable.constant(NominalGraph.complete(size), 0.5)
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+            run_episode(learner, StochasticGapAdversary(0.1), self.GRAPH, other, 10, seed=0)
+        assert learner.rng is None

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import brute_independence_number, brute_min_dominating_size, random_graph
 
 from graphbandit.errors import IngestError
@@ -45,6 +49,34 @@ class TestConstruction:
             EdgeProbabilityTable.from_probs(g, bad)
         with pytest.raises(ValueError, match="epsilon"):
             EdgeProbabilityTable.from_probs(g, np.eye(2) * 0.5, epsilon=0.9)
+
+    def test_probability_table_holds_only_its_probabilities(self):
+        g = NominalGraph.complete(2)
+        table = EdgeProbabilityTable.from_probs(g, np.array([[0.5, 0.25], [0.3, 0.9]]), epsilon=0.25)
+        assert [field.name for field in dataclasses.fields(table)] == ["probs"]
+        assert table.probs.tolist() == [[0.5, 0.25], [0.3, 0.9]]
+        assert EdgeProbabilityTable.constant(g, 0.25).probs.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+
+    @pytest.mark.parametrize(
+        "probs, epsilon, message",
+        [
+            ([[0.5, 0.0], [0.0, 0.5]], None, "epsilon must be in (0, 1], got 0.0"),
+            ([[0.5, 0.5], [0.0, 0.5]], 0.0, "epsilon must be in (0, 1], got 0.0"),
+            ([[0.5, 0.5], [0.0, 0.5]], 1.5, "epsilon must be in (0, 1], got 1.5"),
+            ([[1.0, 1.0], [0.0, 1.0]], True, "epsilon must be in (0, 1], got True"),
+            ([[0.5, 0.5], [0.0, 0.5]], 0.9, "some edge probability is below the stated epsilon"),
+            ([[0.5, 0.5], [0.0, 1.5]], 0.5, "edge probabilities must lie in [0, 1]"),
+            ([[0.5, 0.5], [0.0, np.nan]], 0.5, "edge probabilities must lie in [0, 1]"),
+            ([[0.5, 0.5], [np.nan, 0.5]], None, "non-edge entries must be exactly 0"),
+            ([[0.5, 0.5, 0.5]] * 3, None, "probability table has shape (3, 3), the graph has 2 experts"),
+        ],
+        ids=["zero-edge", "epsilon-zero", "epsilon-above-one", "epsilon-bool", "epsilon-above-edges", "edge-above-one",
+             "nan-edge", "nan-non-edge", "other-graph"],
+    )
+    def test_from_probs_checks(self, probs, epsilon, message):
+        graph = NominalGraph.from_edges(2, [(1, 1), (1, 2), (2, 2)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EdgeProbabilityTable.from_probs(graph, np.array(probs), epsilon=epsilon)
 
 
 def out_neighbors(graph, i):
@@ -193,29 +225,25 @@ class TestProbabilityTableValues:
 class TestGraphFile:
     def test_complete_shorthand(self, tmp_path):
         path = tmp_path / "g.txt"
-        path.write_text("K=3\ncomplete 0.25\n")
-        g, probs = load_graph_file(path)
-        assert g == NominalGraph.complete(3)
-        assert np.allclose(probs, 0.25)
+        path.write_text("K=3\ncomplete\n")
+        assert load_graph_file(path) == NominalGraph.complete(3)
 
-    def test_bandit_shorthand_no_probs(self, tmp_path):
+    def test_bandit_shorthand(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("K=4\nbandit\n")
-        g, probs = load_graph_file(path)
-        assert g == NominalGraph.bandit(4)
-        assert probs is None
+        assert load_graph_file(path) == NominalGraph.bandit(4)
 
-    def test_edge_list_with_probs(self, tmp_path):
+    def test_edge_list(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(
             "K=2\n"
-            "edge 1 1 0.5\n"
-            "edge 1 2 0.25  # cross edge\n"
-            "edge 2 2 1.0\n"
+            "edge 1 1\n"
+            "edge 1 2  # cross edge\n"
+            "edge 2 2\n"
         )
-        g, probs = load_graph_file(path)
+        g = load_graph_file(path)
+        assert isinstance(g, NominalGraph)
         assert g.adjacency.tolist() == [[True, True], [False, True]]
-        assert probs[0, 1] == 0.25
 
     def test_missing_self_loop_is_an_error(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -223,10 +251,16 @@ class TestGraphFile:
         with pytest.raises(IngestError, match="self-loop"):
             load_graph_file(path)
 
-    def test_mixed_probabilities_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line",
+        [("K=2\nedge 1 1\n\nedge 1 2 0.5\nedge 2 2\n", 4), ("K=3\n# structure only\ncomplete 0.5\n", 3)],
+        ids=["edge", "shorthand"],
+    )
+    def test_probability_column_refused(self, tmp_path, text, line):
         path = tmp_path / "g.txt"
-        path.write_text("K=2\nedge 1 1 0.5\nedge 1 2\nedge 2 2 0.5\n")
-        with pytest.raises(IngestError, match="all edges or none"):
+        path.write_text(text)
+        message = rf"^{re.escape(str(path))}:{line}: too many fields .*; --p sets the probabilities$"
+        with pytest.raises(IngestError, match=message):
             load_graph_file(path)
 
     def test_bad_header(self, tmp_path):
@@ -234,3 +268,19 @@ class TestGraphFile:
         path.write_text("experts: 3\n")
         with pytest.raises(IngestError, match="K="):
             load_graph_file(path)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), num_experts=st.integers(1, 12), density=st.floats(0.0, 1.0))
+def test_edge_list_round_trip(tmp_path, seed, num_experts, density):
+    """A seeded adjacency, written as shuffled ``edge`` lines among comments and
+    blank lines, loads as the same graph."""
+    rng = np.random.default_rng(seed)
+    adjacency = rng.random((num_experts, num_experts)) < density
+    np.fill_diagonal(adjacency, True)
+    lines = [f"edge {i + 1} {j + 1}" for i, j in np.argwhere(adjacency)]
+    lines += ["", "# a comment", "   "]
+    lines = [f"{line}  # trailing" if line and rng.random() < 0.3 else line for line in lines]
+    path = tmp_path / "g.txt"
+    path.write_text(f"# header comment\nK={num_experts}\n" + "\n".join(rng.permutation(lines)) + "\n")
+    assert load_graph_file(path) == NominalGraph(adjacency)

@@ -301,3 +301,14 @@ def test_numpy_integer_sizes_accepted():
                                  [0.1, 0.2], rng=np.random.default_rng(1), **sizes)
     checks += resampling_checks(0.5, np.int64(5), 0.5, rng=np.random.default_rng(1), **sizes)
     assert [type(check.draws) for check in checks] == [int] * len(checks)
+
+
+@pytest.mark.parametrize("size", [4, 2])
+def test_table_for_another_graph_refused_before_any_draw(size):
+    graph = NominalGraph.from_edges(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
+    other = EdgeProbabilityTable.constant(NominalGraph.complete(size), 0.5)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+        ip_estimator_checks(graph, other, Pmf(np.full(3, 1 / 3)), [0.1, 0.2, 0.3], draws=10, rng=rng)
+    assert rng.bit_generator.state == state

@@ -1031,3 +1031,32 @@ def test_snapshot_text_and_resume_are_unchanged(name):
         pick = learner.select(t, graph)
         learner.update(realize_feedback(graph, table, pick, losses, feedback_rng, t=t))
     assert learner.snapshot() == recorded["snapshots"][str(late)]
+
+
+class TestTableForAnotherGraph:
+    """exp3-ip's table must be its graph's: a table for 4 or 2 experts on a
+    3-expert graph is refused naming both sizes, not broadcast or indexed."""
+
+    GRAPH = NominalGraph.from_edges(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_make_learner(self, size):
+        other = constant_table(NominalGraph.complete(size), 0.5)
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+            make_learner(LearnerConfig("exp3-ip"), self.GRAPH, probs=other)
+
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_load_snapshot(self, size):
+        text = make_learner(LearnerConfig("exp3-ip"), self.GRAPH, probs=constant_table(self.GRAPH, 0.5)).snapshot()
+        other = constant_table(NominalGraph.complete(size), 0.5)
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+            load_snapshot(text, self.GRAPH, probs=other)
+
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_views(self, size):
+        other = constant_table(NominalGraph.complete(size), 0.5)
+        pmf = Pmf(np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+            observation_probs(pmf, self.GRAPH, other)
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), the graph has 3 experts"):
+            exp3ip_pmf(WeightVector(np.zeros(3)), 0.1, self.GRAPH, other, greedy_dominating_set(self.GRAPH))
