@@ -175,16 +175,21 @@ def greedy_dominating_set(graph: NominalGraph) -> VertexSet:
     Repeatedly picks the vertex covering the most still-uncovered vertices,
     breaking ties toward the lowest index, until every vertex is observable
     from some member.  Deterministic; self-loops guarantee termination.
+    Each vertex's gain is kept up to date: a pick takes from it one per
+    vertex it reaches that the pick covered first.
     """
     adj = graph.adjacency
     uncovered = np.ones(graph.num_experts, dtype=bool)
+    gains = adj.sum(axis=1)
     chosen: list[int] = []
-    while uncovered.any():
-        gains = (adj & uncovered).sum(axis=1)
+    while True:
         v = int(np.argmax(gains))  # argmax returns the first (lowest-index) max
         chosen.append(v + 1)
-        uncovered &= ~adj[v]
-    return VertexSet(tuple(chosen))
+        newly = adj[v] & uncovered
+        uncovered ^= newly
+        if not uncovered.any():
+            return VertexSet(tuple(chosen))
+        gains -= adj[:, newly].sum(axis=1)
 
 
 def independence_number(graph: NominalGraph) -> int:

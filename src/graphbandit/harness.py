@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, run_episode, substream
+from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, StochasticGapAdversary, run_episode, substream
 from .errors import ConfigError, _integer
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError("give exactly one of adversary (synthetic) or bundle (dataset)")
         if self.adversary is not None and self.horizon is None:
             raise ConfigError("synthetic mode needs a horizon")
+        if isinstance(gap := self.adversary, StochasticGapAdversary) and gap.best_arm > self.graph.num_experts:
+            raise ConfigError(f"best_arm {gap.best_arm} exceeds the graph's {self.graph.num_experts} experts")
         if self.horizon is not None:
             object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
         object.__setattr__(self, "runs", _integer(self.runs, "runs"))

@@ -8,14 +8,16 @@ chunks and compare the sample means against the closed-form expectations:
 * the capped resampling count has E[Q] = (1 - (1 - q)^M) / q, and the
   resampled loss estimate has E[l_tilde] = (1 - (1 - q)^M) * l.
 
-The batch paths reuse the learners' kernels for the observation
-probabilities, the pmf sampler and the resampling trials (``_trial_slots``
-and ``_first_success``), so a failing check indicts the production code.  The
-activations are the oracle's own: the ip checks draw K uniforms per
-repetition, where the episodes' ``_fire`` draws one per out-edge of the
-chosen expert.  The resampling checks run on one expert, whose pmf sends
-every trial's expert draw to it: they skip those draws' region of the stream
-unread.
+The ip checks reuse the learners' kernels for the observation probabilities
+and the pmf sampler, so a failing check indicts the production code.  Their
+activations are the oracle's own: they draw K uniforms per repetition, where
+the episodes' ``_fire`` draws one per out-edge of the chosen expert.  The
+resampling checks run on one expert, whose pmf sends every trial's expert
+draw to it: they skip those draws' region of the stream unread.  They count
+each repetition's trials from the ranks of its permutation keys; only a row
+where another key ties its first hit's goes through exp3-gr's argsort
+kernels, ``_trial_slots`` and ``_first_success``.  The tests'
+``test_trial_counts_are_exp3_gr_counts`` checks the counts against exp3-gr's.
 
 A chunk's random arrays are drawn and used ``_TRIAL_BLOCK`` repetitions at a
 time, each region of its stream read through a generator copy at the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +82,15 @@ def _moment(name: str, total: float, total_sq: float, n: int, expected: float) -
     return MomentCheck(name=name, observed=mean, expected=expected, stderr=math.sqrt(var / n), draws=n)
 
 
+def _unit_float(value, name: str, low: str = "[") -> float:
+    """``value`` as a float, if it is a number, not a bool, in [0, 1], or in
+    (0, 1] when ``low`` is "("; anything else raises ValueError naming ``name``."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (number and (0 < value <= 1 if low == "(" else 0 <= value <= 1)):
+        raise ValueError(f"{name} must be a number in {low}0, 1], got {value!r}")
+    return float(value)
+
+
 def _reader(rng: np.random.Generator, size: int) -> np.random.Generator:
     """A copy of ``rng`` at the start of the next ``size`` doubles in its
     stream; ``rng`` moves past them."""
@@ -103,10 +115,10 @@ def ip_estimator_checks(
     observation probability.  Returns first- and second-moment checks per arm.
     """
     draws, chunk = _integer(draws, "draws"), _integer(chunk, "chunk")
-    losses = np.asarray(losses, dtype=float)
     k = graph.num_experts
-    if losses.shape != (k,):
-        raise ValueError(f"need {k} losses, got shape {losses.shape}")
+    if np.shape(losses) != (k,):
+        raise ValueError(f"need {k} losses, got shape {np.shape(losses)}")
+    losses = np.array([_unit_float(loss, f"loss {i + 1}") for i, loss in enumerate(losses)])
     q = observation_probs(pmf, graph, probs)
     ratio = losses / q
     sums = np.zeros((3, k))  # est, est^2, est^4
@@ -134,6 +146,25 @@ def ip_estimator_checks(
     return checks
 
 
+def _trial_counts(samples: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``_first_success(True, samples[rows, _trial_slots(keys, rows)])`` for
+    an (n, M) block, as floats, without the sort: trial u reads the slot whose
+    key has rank u, so a row's count is min(1 + #{keys below its first hit's
+    key}, M), or M without a hit.  Rows where another key ties the first
+    hit's, whose rank argsort alone settles, take the sorting kernels."""
+    window = keys.shape[1]
+    # numpy reduces short rows one at a time: take the minimum down a transposed copy's columns,
+    # and count by a product with ones (sums of 0.0s and 1.0s, exact in any order).
+    first = np.minimum.reduce((keys + ~samples * 2.0).T.copy(), axis=0)[:, None]  # >= 2.0 in a row without a hit
+    counts = np.minimum(np.less(keys, first, out=np.empty(keys.shape)) @ np.ones(window) + 1, window)
+    at_first = keys == first
+    if np.count_nonzero(at_first) != np.count_nonzero(first < 2.0):
+        tied = np.flatnonzero(np.add.reduce(at_first, axis=1) > 1)
+        rows = np.arange(tied.size)[:, None]
+        counts[tied] = _first_success(True, samples[tied][rows, _trial_slots(keys[tied], rows)])
+    return counts
+
+
 def resampling_checks(
     q: float,
     window: int,
@@ -148,14 +179,13 @@ def resampling_checks(
     A chunk's stream holds its windows, the trials' expert draws and the
     permutation keys, M per repetition each, then one observed draw per
     repetition.  Every expert draw picks the one expert, so that region is
-    skipped, not drawn; each trial reads the window slot ``_trial_slots``
-    gives it, and ``_first_success`` counts the trials to the first hit.
+    skipped, not drawn; ``_trial_counts`` counts each repetition's trials to
+    the first hit.
 
     Returns (trial-count check, resampled-loss check) against
     E[Q] = (1 - (1-q)^M) / q and E[l_tilde] = (1 - (1-q)^M) * l.
     """
-    if not 0 < q <= 1:
-        raise ValueError(f"q must be in (0, 1], got {q}")
+    q, loss = _unit_float(q, "q", low="("), _unit_float(loss, "loss")
     draws, chunk, window = _integer(draws, "draws"), _integer(chunk, "chunk"), _integer(window, "window")
     sum_q = sum_q2 = 0.0
     sum_l = sum_l2 = 0.0
@@ -169,9 +199,7 @@ def resampling_checks(
         trials = np.empty(m)
         for lo in range(0, m, _TRIAL_BLOCK):
             n = min(_TRIAL_BLOCK, m - lo)
-            samples = windows.random((n, window)) < q
-            rows = np.arange(n)[:, None]  # repetition i reads window row i
-            trials[lo : lo + n] = _first_success(True, samples[rows, _trial_slots(keys.random((n, window)), rows)])
+            trials[lo : lo + n] = _trial_counts(windows.random((n, window)) < q, keys.random((n, window)))
         observed = rng.random(m) < q
         est = trials * loss * observed
         sum_q += trials.sum()

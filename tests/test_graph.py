@@ -154,6 +154,26 @@ class TestGreedyDominatingSet:
             assert greedy_size <= optimum * (1 + math.log(k))
 
 
+def reference_greedy_dominating_set(graph):
+    """Greedy set cover with every vertex's gain recomputed at each pick."""
+    adj = graph.adjacency
+    uncovered = np.ones(graph.num_experts, dtype=bool)
+    chosen = []
+    while uncovered.any():
+        v = int(np.argmax((adj & uncovered).sum(axis=1)))
+        chosen.append(v + 1)
+        uncovered &= ~adj[v]
+    return tuple(chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_experts=st.integers(1, 120), density=st.floats(0.0, 1.0))
+def test_greedy_dominating_set_matches_recomputed_gains(seed, num_experts, density):
+    """The kept gains pick the same vertices, in the same order, as gains recomputed every pick."""
+    graph = random_graph(np.random.default_rng(seed), num_experts, density)
+    assert greedy_dominating_set(graph).members == reference_greedy_dominating_set(graph)
+
+
 class TestIndependenceNumber:
     def test_complete(self):
         assert independence_number(NominalGraph.complete(6)) == 1

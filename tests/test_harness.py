@@ -213,6 +213,19 @@ class TestFixedTableChecks:
         monkeypatch.setattr(type(adversary), "materialize", refuse)
         small_config(adversary=adversary, horizon=10**9)
 
+    @pytest.mark.parametrize("best_arm, accepted", [(3, True), (4, False), (5, False)])
+    def test_best_arm_checked_against_the_graph_without_a_draw(self, monkeypatch, best_arm, accepted):
+        def refuse(*args):
+            raise AssertionError("materialized at construction")
+
+        monkeypatch.setattr(StochasticGapAdversary, "materialize", refuse)
+        build = lambda: small_config(adversary=StochasticGapAdversary(0.1, best_arm=best_arm), horizon=10**9)
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ConfigError, match=rf"^best_arm {best_arm} exceeds the graph's 3 experts$"):
+                build()
+
 
 class TestCheckpoints:
     def test_small_horizon_every_round(self):

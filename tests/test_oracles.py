@@ -15,7 +15,8 @@ import graphbandit
 
 from graphbandit.estimator import _SKIP_BLOCK, Pmf, WeightVector, _invert_cdf, _skip_doubles, sample_positions
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, greedy_dominating_set
-from graphbandit.oracles import _TRIAL_BLOCK, _moment, ip_estimator_checks, resampling_checks
+from graphbandit import oracles
+from graphbandit.oracles import _TRIAL_BLOCK, _moment, _trial_counts, ip_estimator_checks, resampling_checks
 from graphbandit.policies import (
     ResampleBuffer,
     _first_success,
@@ -209,6 +210,32 @@ def test_trial_counts_are_exp3_gr_counts(q, window):
     assert _moment(trial_check.name, counts.sum(), (counts * counts).sum(), draws, hit / q) == trial_check
 
 
+@pytest.mark.parametrize("window", [1, 2, 5, 25])
+@pytest.mark.parametrize("n", [1, 2, 5, 25])
+def test_trial_counts_on_tied_keys_are_argsort_counts(monkeypatch, n, window):
+    """Keys from a grid of 4M values tie often.  Every count equals the
+    argsort kernel's, and the tied-row branch ran on some rows, not all."""
+    tied_rows = []
+
+    def spy(in_edge, samples):
+        tied_rows.append(samples.shape[0])
+        return _first_success(in_edge, samples)
+
+    monkeypatch.setattr(oracles, "_first_success", spy)
+    rng = np.random.default_rng(window * 100 + n)
+    blocks = 400 // n
+    for _ in range(blocks):
+        samples = rng.random((n, window)) < 0.3
+        keys = rng.integers(0, 4 * window, (n, window)) / (4 * window)
+        rows = np.arange(n)[:, None]
+        expected = _first_success(True, samples[rows, _trial_slots(keys, rows)])
+        np.testing.assert_array_equal(_trial_counts(samples, keys), expected)
+    if window == 1:  # one key per row cannot tie
+        assert not tied_rows
+    else:
+        assert 0 < sum(tied_rows) < blocks * n
+
+
 def traced_peak_mb(call):
     tracemalloc.start()
     try:
@@ -247,15 +274,20 @@ if check == "resampling":
     call = lambda: resampling_checks(**kwargs)
 else:
     graph = NominalGraph.complete(2)
-    kwargs = dict(draws=10, chunk=4)
+    kwargs = dict(losses=[0.1, 0.2], draws=10, chunk=4)
     kwargs.update(overrides)
     call = lambda: ip_estimator_checks(graph, EdgeProbabilityTable.constant(graph, 0.5), Pmf(np.array([0.5, 0.5])),
-                                       [0.1, 0.2], rng=rng, **kwargs)
+                                       rng=rng, **kwargs)
 try:
     call()
 except ValueError as exc:
     print(json.dumps({"message": str(exc), "drew": rng.bit_generator.state["state"]["counter"].tolist() != before}))
 """
+
+
+# What each argument must be, where it is not a size.
+KINDS = {"q": "a number in (0, 1]", "loss": "a number in [0, 1]", "loss 1": "a number in [0, 1]",
+         "loss 2": "a number in [0, 1]"}
 
 
 @pytest.mark.parametrize(
@@ -272,10 +304,22 @@ except ValueError as exc:
         ("resampling", {"draws": True}, "draws"),
         ("ip", {"chunk": 4.5}, "chunk"),
         ("ip", {"draws": True}, "draws"),
+        ("resampling", {"q": True}, "q"),
+        ("resampling", {"q": "0.5"}, "q"),
+        ("resampling", {"loss": float("nan")}, "loss"),
+        ("resampling", {"loss": 2.0}, "loss"),
+        ("resampling", {"loss": "0.5"}, "loss"),
+        ("resampling", {"loss": True}, "loss"),
+        ("ip", {"losses": [float("nan"), 0.2]}, "loss 1"),
+        ("ip", {"losses": [0.1, 3.0]}, "loss 2"),
+        ("ip", {"losses": [True, 0.2]}, "loss 1"),
+        ("ip", {"losses": ["0.5", 0.2]}, "loss 1"),
     ],
     ids=["resampling-draws-0", "resampling-draws-negative", "resampling-window-0", "resampling-chunk-0",
          "ip-draws-0", "ip-chunk-0", "resampling-draws-fractional", "resampling-window-fractional",
-         "resampling-draws-bool", "ip-chunk-fractional", "ip-draws-bool"],
+         "resampling-draws-bool", "ip-chunk-fractional", "ip-draws-bool", "resampling-q-bool",
+         "resampling-q-string", "resampling-loss-nan", "resampling-loss-2", "resampling-loss-string",
+         "resampling-loss-bool", "ip-loss-nan", "ip-loss-3", "ip-loss-bool", "ip-loss-string"],
 )
 def test_bad_argument_rejected_before_any_draw(check, overrides, name):
     # In a subprocess with a timeout: a zero chunk used to loop forever.
@@ -290,7 +334,7 @@ def test_bad_argument_rejected_before_any_draw(check, overrides, name):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["message"].startswith(f"{name} must be an integer >= 1")
+    assert result["message"].startswith(f"{name} must be {KINDS.get(name, 'an integer >= 1')}")
     assert not result["drew"]
 
 
@@ -301,6 +345,14 @@ def test_numpy_integer_sizes_accepted():
                                  [0.1, 0.2], rng=np.random.default_rng(1), **sizes)
     checks += resampling_checks(0.5, np.int64(5), 0.5, rng=np.random.default_rng(1), **sizes)
     assert [type(check.draws) for check in checks] == [int] * len(checks)
+
+
+def test_single_precision_arguments_give_double_expectations():
+    q, loss = np.float32(0.3), np.float32(0.8)
+    single = resampling_checks(q, 5, loss, 1000, np.random.default_rng(1))
+    double = resampling_checks(float(q), 5, float(loss), 1000, np.random.default_rng(1))
+    assert single == double
+    assert [type(check.expected) for check in single] == [float, float]
 
 
 @pytest.mark.parametrize("size", [4, 2])
