@@ -212,6 +212,9 @@ def main(argv=None) -> int:
     except (ContractError, ProtocolError, PhaseOrderError, InvariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return RUNTIME_EXIT
 
 
 if __name__ == "__main__":

@@ -59,16 +59,23 @@ class FeedbackEvent:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Everything one episode produced, enough to recompute any metric."""
+    """Everything one episode produced, enough to recompute any metric.  The loss
+    table is not held: ``loss_table`` draws it again on a fresh loss stream."""
 
     incurred: np.ndarray
     chosen: np.ndarray
-    loss_table: np.ndarray
+    adversary: object
+    num_experts: int
     seed: object
 
     @property
     def horizon(self) -> int:
         return self.incurred.size
+
+    @property
+    def loss_table(self) -> np.ndarray:
+        rng = substream(self.seed, LOSS_STREAM)
+        return np.asarray(self.adversary.materialize(self.horizon, self.num_experts, rng), dtype=float)
 
     @property
     def expert_cumulative(self) -> np.ndarray:
@@ -107,6 +114,11 @@ class FixedTableAdversary:
             raise ValueError(f"loss table has {self.table.shape[0]} rows, horizon is {horizon}")
         return self.table[:horizon]
 
+    def blocks(self, horizon: int, num_experts: int, rng: np.random.Generator):
+        """``materialize``'s table as views of ``_TABLE_BLOCK`` doubles of rows each."""
+        table, step = self.materialize(horizon, num_experts, rng), max(1, _TABLE_BLOCK // num_experts)
+        return (table[lo : lo + step] for lo in range(0, horizon, step))
+
 
 def _check_means(gap, base) -> None:
     """The gap adversaries' means: numbers (not bools) with 0 < gap <= base <= 1."""
@@ -129,9 +141,12 @@ class StochasticGapAdversary:
         object.__setattr__(self, "best_arm", _integer(self.best_arm, "best_arm"))
 
     def materialize(self, horizon: int, num_experts: int, rng: np.random.Generator) -> np.ndarray:
+        return _filled(self.blocks(horizon, num_experts, rng), horizon, num_experts)
+
+    def blocks(self, horizon: int, num_experts: int, rng: np.random.Generator):
         if not 1 <= self.best_arm <= num_experts:
             raise ValueError(f"best arm {self.best_arm} out of range 1..{num_experts}")
-        return _gap_table(rng, horizon, num_experts, self.base, self.gap, lambda rows: self.best_arm - 1)
+        return _gap_blocks(rng, horizon, num_experts, self.base, self.gap, lambda rows: self.best_arm - 1)
 
 
 @dataclass(frozen=True)
@@ -148,21 +163,44 @@ class SwitchingAdversary:
         object.__setattr__(self, "period", _integer(self.period, "period"))
 
     def materialize(self, horizon: int, num_experts: int, rng: np.random.Generator) -> np.ndarray:
-        return _gap_table(rng, horizon, num_experts, self.base, self.gap, lambda r: r // self.period % num_experts)
+        return _filled(self.blocks(horizon, num_experts, rng), horizon, num_experts)
+
+    def blocks(self, horizon: int, num_experts: int, rng: np.random.Generator):
+        return _gap_blocks(rng, horizon, num_experts, self.base, self.gap, lambda r: r // self.period % num_experts)
 
 
-def _gap_table(rng, horizon: int, num_experts: int, base: float, gap: float, best) -> np.ndarray:
-    """``(rng.random((horizon, num_experts)) < means).astype(float)`` for means ``base``, less ``gap``
-    in column ``best(rows)``, drawn ``_TABLE_BLOCK`` doubles at a time into one buffer: as
-    ``Generator.random`` does not depend on chunking, the table and ``rng``'s final state are the same."""
-    table, step = np.empty((horizon, num_experts)), max(1, _TABLE_BLOCK // num_experts)
+def _gap_blocks(rng, horizon: int, num_experts: int, base: float, gap: float, best):
+    """``(rng.random((horizon, num_experts)) < means).astype(float)`` for means ``base``, less ``gap`` in
+    column ``best(rows)``, as fresh row blocks of ``_TABLE_BLOCK`` doubles, each drawn when asked for: as
+    ``Generator.random`` does not depend on chunking, the rows and ``rng``'s final state are the same."""
+    step = max(1, _TABLE_BLOCK // num_experts)
     buffer = np.empty(step * num_experts)
     for lo in range(0, horizon, step):
         rows = np.arange(lo, min(lo + step, horizon))
         u = rng.random(out=buffer[: rows.size * num_experts]).reshape(rows.size, num_experts)
-        np.less(u, base, out=table[lo : lo + rows.size])
-        table[rows, best(rows)] = u[rows - lo, best(rows)] < base - gap
+        block = np.less(u, base, out=np.empty(u.shape))
+        block[rows - lo, best(rows)] = u[rows - lo, best(rows)] < base - gap
+        yield block
+
+
+def _filled(blocks, horizon: int, num_experts: int) -> np.ndarray:
+    """The (horizon, num_experts) table whose row blocks of ``_TABLE_BLOCK`` doubles are ``blocks``."""
+    table, step = np.empty((horizon, num_experts)), max(1, _TABLE_BLOCK // num_experts)
+    for lo, block in zip(range(0, horizon, step), blocks):
+        table[lo : lo + step] = block
     return table
+
+
+def _loss_blocks(adversary, horizon: int, num_experts: int, seed):
+    """An episode's loss table in C-ordered row blocks from a fresh loss stream: the adversary's ``blocks``, else
+    its ``materialize`` table, shape-checked, as one block."""
+    rng = substream(seed, LOSS_STREAM)
+    if hasattr(adversary, "blocks"):
+        return adversary.blocks(horizon, num_experts, rng)
+    table = np.asarray(adversary.materialize(horizon, num_experts, rng), dtype=float)
+    if table.shape != (horizon, num_experts):
+        raise ContractError(f"adversary produced shape {table.shape}, expected {(horizon, num_experts)}")
+    return (table,)
 
 
 def realize_feedback(
@@ -268,58 +306,57 @@ def run_episode(
     on the static ``graph``, the one the learner was built with.
     Deterministic given the seed.
 
-    The loss table is checked once, before round 1; that check stands for
-    the learners' per-round loss-range checks (see ``estimator``).  The
-    learners of this package take each round's feedback as arrays
-    (``_observe``: the round, the chosen index, the fired positions, their
-    losses and the hit mask over the chosen expert's out-positions); any
-    other object with ``select``/``update`` gets a ``FeedbackEvent``, as
-    from ``realize_feedback``.  The activations come from ``_Feedback``.
+    The loss table comes in row blocks (``_loss_blocks``), never whole: each
+    is checked before its first round, a check that stands for the learners'
+    per-round loss-range checks (see ``estimator``), and gives the incurred
+    losses once its rounds are played.  The learners of this package take
+    each round's feedback as arrays (``_observe``: the round, the chosen
+    index, the fired positions, their losses and the hit mask over the
+    chosen expert's out-positions); any other object with ``select``/``update``
+    gets a ``FeedbackEvent``, as from ``realize_feedback``.  The activations
+    come from ``_Feedback``.
 
     exp3-up and exp3-gr play each run of forced-exploration rounds as one
     block (``_explore_run``), until the deficit is paid, the doubling epoch
-    ends or the horizon: choices as ``select`` makes them, one draw of the
-    activations (``_Feedback.fire_run``), one record per explored expert.
-    Forced rounds leave the weights and the learner's generator alone, so
-    everything ends as with one round at a time.
+    ends, ``_FEED_BLOCK`` rounds or the horizon: choices as ``select`` makes
+    them, one draw of the activations (``_Feedback.fire_run``), one record
+    per explored expert.  Forced rounds read no losses and leave the weights
+    and the learner's generator alone, so everything ends as with one round
+    at a time.
     """
     horizon = operator.index(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    loss_rng = substream(seed, LOSS_STREAM)
     feedback = _Feedback(graph, probs, substream(seed, FEEDBACK_STREAM))  # checks the table before the reseed
     learner.reseed(np.random.SeedSequence(seed, spawn_key=(LEARNER_STREAM,)))
-    table = adversary.materialize(horizon, graph.num_experts, loss_rng)
-    table = np.asarray(table, dtype=float)
-    if table.shape != (horizon, graph.num_experts):
-        raise ContractError(f"adversary produced shape {table.shape}, expected {(horizon, graph.num_experts)}")
-    if not (table.min() >= 0 and table.max() <= 1):  # NaN fails both
-        raise ContractError("adversary produced losses outside [0, 1] or non-finite")
-
-    observe = getattr(learner, "_observe", None)
-    explore = getattr(learner, "_explore_run", None)
-    chosen = np.empty(horizon, dtype=np.int64)
-    t = 1
-    while t <= horizon:
-        if explore is not None:
-            picks = explore(t, horizon, graph, feedback.fire_run)
-            if picks.size:
-                chosen[t - 1 : t - 1 + picks.size] = picks
-                t += picks.size
-                continue
-        pick = learner.select(t, graph)
-        _check_chosen(graph, pick)
-        fired, hits = feedback.fire(pick)
-        losses = table[t - 1]
-        if observe is not None:
-            observe(t, pick, fired, losses[fired], hits)
-        else:
-            learner.update(_event(t, pick, fired, losses))
-        chosen[t - 1] = pick
-        t += 1
+    observe, explore = getattr(learner, "_observe", None), getattr(learner, "_explore_run", None)
+    chosen, incurred = np.empty(horizon, dtype=np.int64), np.empty(horizon)
+    t = lo = 1
+    for block in _loss_blocks(adversary, horizon, graph.num_experts, seed):
+        if not (block.min() >= 0 and block.max() <= 1):  # NaN fails both
+            raise ContractError("adversary produced losses outside [0, 1] or non-finite")
+        end = lo + block.shape[0]
+        while t < end:
+            if explore is not None:
+                picks = explore(t, horizon, graph, feedback.fire_run)
+                if picks.size:
+                    chosen[t - 1 : t - 1 + picks.size] = picks
+                    t += picks.size
+                    continue
+            pick = learner.select(t, graph)
+            _check_chosen(graph, pick)
+            fired, hits = feedback.fire(pick)
+            losses = block[t - lo]
+            if observe is not None:
+                observe(t, pick, fired, losses[fired], hits)
+            else:
+                learner.update(_event(t, pick, fired, losses))
+            chosen[t - 1] = pick
+            t += 1
+        incurred[lo - 1 : end - 1] = block[np.arange(block.shape[0]), chosen[lo - 1 : end - 1] - 1]
+        lo = end
     feedback.close()
-    incurred = table[np.arange(horizon), chosen - 1]
-    return RunTrace(incurred=incurred, chosen=chosen, loss_table=table, seed=seed)
+    return RunTrace(incurred=incurred, chosen=chosen, adversary=adversary, num_experts=graph.num_experts, seed=seed)
 
 
 def empirical_regret(trace: RunTrace) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import _TABLE_BLOCK, PROBS_STREAM, FixedTableAdversary, StochasticGapAdversary, run_episode, substream
+from .environment import PROBS_STREAM, FixedTableAdversary, StochasticGapAdversary, _loss_blocks, run_episode, substream
 from .errors import ConfigError, _integer
 from .experts import DatasetBundle
 from .graph import EdgeProbabilityTable, NominalGraph
@@ -182,36 +182,36 @@ def _learner_config(cfg: ExperimentConfig, algorithm: str) -> LearnerConfig:
 
 def _execute_job(job) -> tuple[int, str, np.ndarray, str]:
     cfg, run, algorithm, probs = job
-    horizon = cfg.effective_horizon
+    horizon, seed = cfg.effective_horizon, (cfg.seed, run)
     checkpoints = checkpoint_rounds(horizon)
     learner_probs = probs if algorithm == "exp3-ip" else None
     learner = make_learner(_learner_config(cfg, algorithm), cfg.graph, probs=learner_probs, seed=0)
-    trace = run_episode(learner, _adversary(cfg), cfg.graph, probs, horizon, seed=(cfg.seed, run))
-    digest = hashlib.sha256(np.ascontiguousarray(trace.loss_table)).hexdigest()
+    trace = run_episode(learner, _adversary(cfg), cfg.graph, probs, horizon, seed=seed)
+    digest, blocks = hashlib.sha256(), _loss_blocks(trace.adversary, horizon, cfg.graph.num_experts, seed)
+    expert_sums = _checkpoint_sums(blocks, checkpoints, digest)  # one pass over the loss table, drawn again
 
     if cfg.metric == "regret":
-        expert_sums = _checkpoint_sums(trace.loss_table, checkpoints)
         values = np.cumsum(trace.incurred)[checkpoints - 1] - expert_sums.min(axis=1)
     else:
         picked = cfg.bundle.predictions[trace.chosen - 1, np.arange(horizon)]
         cum_sq = np.cumsum((picked - cfg.bundle.truths[:horizon]) ** 2)
         values = cum_sq[checkpoints - 1] / checkpoints
-    return run, algorithm, values, digest
+    return run, algorithm, values, digest.hexdigest()
 
 
-def _checkpoint_sums(table: np.ndarray, checkpoints: np.ndarray) -> np.ndarray:
-    """``np.cumsum(table, axis=0)[checkpoints - 1]``, accumulated ``_TABLE_BLOCK`` doubles at a
-    time in one buffer, each block's first row plus the last sums of the block before."""
-    step = max(1, _TABLE_BLOCK // table.shape[1])
-    buffer, sums, carry = np.empty((step, table.shape[1])), [], None
-    for lo in range(0, table.shape[0], step):
-        block = buffer[: min(step, table.shape[0] - lo)]
-        np.copyto(block, table[lo : lo + step])
+def _checkpoint_sums(blocks, checkpoints: np.ndarray, digest) -> np.ndarray:
+    """``np.cumsum(table, axis=0)[checkpoints - 1]`` for the table whose C-ordered row blocks are ``blocks``, each
+    block's first row plus the last sums of the block before; ``digest`` is fed each block, ending as the table's."""
+    sums, carry, lo = [], None, 0
+    for block in blocks:
+        digest.update(np.ascontiguousarray(block))
+        block = np.array(block, dtype=float)  # a copy to accumulate in
         if carry is not None:  # the first block gets no zero carry: -0.0 + 0.0 is +0.0
             block[0] += carry
         np.add.accumulate(block, axis=0, out=block)
-        carry = block[-1].copy()
-        sums.append(block[checkpoints[(checkpoints > lo) & (checkpoints <= lo + step)] - 1 - lo])
+        carry, hi = block[-1], lo + block.shape[0]
+        sums.append(block[checkpoints[(checkpoints > lo) & (checkpoints <= hi)] - 1 - lo])
+        lo = hi
     return np.concatenate(sums)
 
 
@@ -262,29 +262,15 @@ def emit_results(result: AggregateResult, out_dir) -> None:
     ``summary.csv`` (final values).  Output is byte-deterministic."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    stats = {algorithm: (result.mean(algorithm), result.std(algorithm)) for algorithm in result.algorithms()}
     with (out_dir / "results.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "algorithm", "metric", "mean", "std"])
         for c, t in enumerate(result.checkpoints):
-            for algorithm in result.algorithms():
-                writer.writerow(
-                    [
-                        int(t),
-                        algorithm,
-                        result.metric,
-                        repr(float(result.mean(algorithm)[c])),
-                        repr(float(result.std(algorithm)[c])),
-                    ]
-                )
+            for algorithm, (mean, std) in stats.items():
+                writer.writerow([int(t), algorithm, result.metric, repr(float(mean[c])), repr(float(std[c]))])
     with (out_dir / "summary.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["algorithm", "metric", "final_mean", "final_std"])
-        for algorithm in result.algorithms():
-            writer.writerow(
-                [
-                    algorithm,
-                    result.metric,
-                    repr(result.final_mean(algorithm)),
-                    repr(result.final_std(algorithm)),
-                ]
-            )
+        for algorithm, (mean, std) in stats.items():
+            writer.writerow([algorithm, result.metric, repr(float(mean[-1])), repr(float(std[-1]))])

@@ -116,8 +116,12 @@ def ip_estimator_checks(
     """
     draws, chunk = _integer(draws, "draws"), _integer(chunk, "chunk")
     k = graph.num_experts
-    if np.shape(losses) != (k,):
-        raise ValueError(f"need {k} losses, got shape {np.shape(losses)}")
+    try:
+        shape = np.shape(losses)
+    except ValueError:  # numpy refuses a ragged nest
+        shape = "ragged"
+    if shape != (k,):
+        raise ValueError(f"need {k} losses, got shape {shape}")
     losses = np.array([_unit_float(loss, f"loss {i + 1}") for i, loss in enumerate(losses)])
     q = observation_probs(pmf, graph, probs)
     ratio = losses / q

@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .environment import FeedbackEvent
+from .environment import _FEED_BLOCK, FeedbackEvent
 from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError, _integer
 from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
 from .estimator import PMF_TOLERANCE, _cumsum, _max, _min, _softmax, _sum
@@ -858,7 +858,7 @@ def _read_rng(text, name: str) -> np.random.Generator:
     bit_gen = np.random.Philox()
     try:  # the setter rejects any other generator's state
         bit_gen.state = conv(_read(text, name, dtype=object))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"snapshot field {name!r} is not a Philox state: {exc!r}") from None
     return np.random.Generator(bit_gen)
 
@@ -982,8 +982,8 @@ class _UninformativeBase(_LearnerBase):
 
     def _explore_run(self, t: int, horizon: int, graph: NominalGraph, fire) -> np.ndarray:
         """Play the forced rounds from round ``t`` on, up to the deficit, the
-        end of the doubling epoch and ``horizon``, as one block; returns
-        their 1-based choices (none when round t is not forced).  Each is
+        epoch's end, ``_FEED_BLOCK`` rounds and ``horizon``, as one block;
+        returns their 1-based choices (none when round t is not forced).  Each is
         chosen as ``select(t, graph)`` would; ``fire`` is the episode's
         ``environment._Feedback.fire_run``, and each source's rows are
         recorded in one call."""
@@ -991,7 +991,7 @@ class _UninformativeBase(_LearnerBase):
             return _NO_CHOICES  # no round owed and no restart due to raise the floor
         self._check_turn(t, graph)
         self._advance_epochs(t)
-        n = min(self._deficit, horizon - t + 1)
+        n = min(self._deficit, horizon - t + 1, _FEED_BLOCK)
         if self._epoch is not None:
             n = min(n, 2 ** (self._epoch + 1) - t + 1)
         picks = np.empty(n, dtype=np.int64)

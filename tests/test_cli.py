@@ -105,6 +105,15 @@ class TestSimulate:
         code = run_cli(["simulate", "--algo", "exp3", "--K", "3", "--T", "1", "--adversary", f"table:{table}"])
         assert code == 2
 
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 9.31 GiB")])
+    def test_out_of_memory_exits_3_with_one_error_line(self, monkeypatch, capsys, error):
+        def refuse(num_experts):
+            raise error
+
+        monkeypatch.setattr("graphbandit.cli.NominalGraph.complete", refuse)
+        assert run_cli(SIMULATE + ["--K", "100000"]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory. {error}".rstrip()]
+
     def test_doubling_schedule_flag(self):
         code = run_cli([
             "simulate", "--algo", "exp3-gr", "--K", "2", "--T", "30", "--runs", "1",

@@ -6,7 +6,8 @@
   equal per-edge statistics, equal generator states and identical snapshot
   text, under every schedule and across doubling restarts.
 * One multi-row ``_record(source, hits[n, d])`` on either sample store
-  equals n one-row calls.
+  equals n one-row calls, so capping a run at ``_FEED_BLOCK`` rounds, or
+  running it across the loss table's row blocks, changes nothing.
 """
 
 import hashlib
@@ -177,9 +178,10 @@ def test_sparse_k50_doubling_run_matches_the_per_round_loop(algorithm):
     adversary = SwitchingAdversary(gap=0.1, period=2000)
     config = LearnerConfig(algorithm, DoublingSchedule(), epsilon=0.1)
     block, reference = make_learner(config, graph), make_learner(config, graph)
-    chosen, _, feedback = block_episode(block, adversary, graph, probs, 20_000, 7)
-    ref_chosen, _, ref_feedback = per_round_episode(reference, adversary, graph, probs, 20_000, 7)
+    chosen, incurred, feedback = block_episode(block, adversary, graph, probs, 20_000, 7)
+    ref_chosen, ref_incurred, ref_feedback = per_round_episode(reference, adversary, graph, probs, 20_000, 7)
     assert hashlib.sha256(chosen.tobytes()).hexdigest() == hashlib.sha256(ref_chosen.tobytes()).hexdigest()
+    assert incurred.tobytes() == ref_incurred.tobytes()  # forced runs cross the loss table's row blocks
     assert same_state(feedback, ref_feedback)
     assert_same_learner(block, reference)
 

@@ -1,16 +1,21 @@
-"""An episode holds one (T, K) loss table and nothing else of its size.
+"""An episode streams its (T, K) loss table in row blocks and never holds it.
 
-* The gap and switching adversaries draw their uniforms ``_TABLE_BLOCK``
-  doubles at a time; the table and the generator's final state equal the
-  one-shot formulas kept here as the reference.
-* The harness sums the experts' losses at the checkpoints block by block,
-  carrying each block's last sums; they equal ``np.cumsum``'s bit for bit,
-  signed zeros included.
-* ``run_experiment`` on K = 50, T = 20,000 peaks at under 1.3 tables above
-  its entry, and the loss-table checks still reject every bad value.
+* The gap and switching adversaries hand out row blocks of ``_TABLE_BLOCK``
+  doubles, each drawn when asked for; ``materialize`` fills one table from
+  them, and the table and the generator's final state equal the one-shot
+  formulas kept here as the reference.
+* The harness hashes the blocks and sums the experts' losses at the
+  checkpoints in one pass, carrying each block's last sums: the digest is
+  the whole table's, and the sums equal ``np.cumsum``'s bit for bit, signed
+  zeros included.
+* ``RunTrace.loss_table`` is the adversary's table on a fresh loss stream.
+* ``run_experiment`` on K = 50, T = 200,000 peaks at under 0.1 tables above
+  its entry; bad tables and bad adversary arguments still stop an episode
+  before round 1.
 * A numpy-integer horizon plays as the ``int`` one.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -21,10 +26,13 @@ from test_forced_runs import same_state
 
 from graphbandit.environment import (
     _TABLE_BLOCK,
+    LOSS_STREAM,
     FixedTableAdversary,
     StochasticGapAdversary,
     SwitchingAdversary,
+    _loss_blocks,
     run_episode,
+    substream,
 )
 from graphbandit.errors import ContractError
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph
@@ -93,6 +101,12 @@ def test_integer_base_keeps_the_gap(adversary):
     assert means[0] == pytest.approx(0.75, abs=0.05) and means[1:].tolist() == [1.0, 1.0]
 
 
+def row_blocks(table):
+    """``table``'s C-ordered row blocks of ``_TABLE_BLOCK`` doubles, as the adversaries hand them out."""
+    step = max(1, _TABLE_BLOCK // table.shape[1])
+    return [table[lo : lo + step] for lo in range(0, table.shape[0], step)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     num_experts=st.sampled_from([1, 3, 50]),
@@ -112,13 +126,48 @@ def test_carried_sums_equal_cumsum(num_experts, offset, blocks, negative_zeros, 
     else:
         checkpoints = np.unique(rng.integers(1, horizon + 1, size=rng.integers(1, 20)))
     expected = np.cumsum(table, axis=0)[checkpoints - 1]
-    assert _checkpoint_sums(table, checkpoints).tobytes() == expected.tobytes()
+    assert _checkpoint_sums(row_blocks(table), checkpoints, hashlib.sha256()).tobytes() == expected.tobytes()
 
 
 def test_carried_sums_keep_negative_zero():
     table = np.full((3 * (_TABLE_BLOCK // 4) + 1, 4), -0.0)
     checkpoints = checkpoint_rounds(table.shape[0])
-    assert np.signbit(_checkpoint_sums(table, checkpoints)).all()
+    assert np.signbit(_checkpoint_sums(row_blocks(table), checkpoints, hashlib.sha256())).all()
+
+
+DIGEST_ADVERSARIES = {
+    "gap": lambda horizon, k: StochasticGapAdversary(gap=0.2, best_arm=k),
+    "switching": lambda horizon, k: SwitchingAdversary(gap=0.3, period=13),
+    "fixed": lambda horizon, k: FixedTableAdversary(np.random.default_rng([horizon, k]).random((horizon + 3, k))),
+    "fixed-fortran": lambda horizon, k: FixedTableAdversary(
+        np.asfortranarray(np.random.default_rng(k).random((horizon, k)))
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon_name", ["1", "block-1", "3*block+7"])
+@pytest.mark.parametrize("num_experts", [1, 7, 50])
+@pytest.mark.parametrize("kind", list(DIGEST_ADVERSARIES))
+def test_block_fed_digest_is_the_whole_table_digest(kind, num_experts, horizon_name):
+    horizon = HORIZONS[horizon_name](_TABLE_BLOCK // num_experts)
+    adversary, seed = DIGEST_ADVERSARIES[kind](horizon, num_experts), (3, 1)
+    table = adversary.materialize(horizon, num_experts, substream(seed, LOSS_STREAM))
+    digest, checkpoints = hashlib.sha256(), checkpoint_rounds(horizon)
+    sums = _checkpoint_sums(_loss_blocks(adversary, horizon, num_experts, seed), checkpoints, digest)
+    assert digest.hexdigest() == hashlib.sha256(np.ascontiguousarray(table)).hexdigest()
+    assert sums.tobytes() == np.cumsum(table, axis=0)[checkpoints - 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gap", "switching", "fixed"])
+def test_trace_loss_table_is_the_adversarys_table(kind):
+    graph = NominalGraph.complete(7)
+    probs = EdgeProbabilityTable.constant(graph, 0.5)
+    horizon = 3 * (_TABLE_BLOCK // 7) + 7
+    adversary = DIGEST_ADVERSARIES[kind](horizon, 7)
+    trace = run_episode(make_learner(LearnerConfig("exp3-gr"), graph), adversary, graph, probs, horizon, seed=11)
+    table = adversary.materialize(horizon, 7, substream(11, LOSS_STREAM))
+    assert trace.loss_table.tobytes() == table.tobytes()
+    assert trace.incurred.tobytes() == table[np.arange(horizon), trace.chosen - 1].tobytes()
 
 
 BAD_LOSSES = [np.nan, np.inf, -np.inf, -0.01, 1.01]
@@ -136,8 +185,8 @@ class _BadAdversary:
         return table
 
 
-def test_episode_holds_one_loss_table():
-    horizon, num_experts = 20_000, 50
+def test_episode_holds_no_loss_table():
+    horizon, num_experts = 200_000, 50
     cfg = ExperimentConfig(
         algorithms=("exp3",),
         graph=NominalGraph.complete(num_experts),
@@ -158,7 +207,7 @@ def test_episode_holds_one_loss_table():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 1.3 * horizon * num_experts * 8, f"peak {peak / (horizon * num_experts * 8):.2f} tables"
+    assert peak <= 0.1 * horizon * num_experts * 8, f"peak {peak / (horizon * num_experts * 8):.2f} tables"
 
     graph = NominalGraph.complete(3)
     probs = EdgeProbabilityTable.constant(graph, 0.5)
@@ -171,6 +220,34 @@ def test_episode_holds_one_loss_table():
         with pytest.raises(ContractError, match=r"^adversary produced losses outside \[0, 1\] or non-finite$"):
             run_episode(learner, _BadAdversary(value), graph, probs, 5, seed=0)
         assert learner.rounds_played == 0
+
+
+@pytest.mark.parametrize("algorithm", ["exp3", "exp3-gr"])
+def test_bad_adversary_stops_the_episode_before_round_1(algorithm):
+    graph = NominalGraph.complete(3)
+    probs = EdgeProbabilityTable.constant(graph, 0.5)
+    horizon = 3 * _TABLE_BLOCK
+    learner = make_learner(LearnerConfig(algorithm), graph)
+    with pytest.raises(ValueError, match=r"^best arm 4 out of range 1\.\.3$"):
+        run_episode(learner, StochasticGapAdversary(gap=0.2, best_arm=4), graph, probs, horizon, seed=0)
+    assert learner.rounds_played == 0
+    for value in BAD_LOSSES:  # in the last row of a table longer than a block, served whole
+        with pytest.raises(ContractError, match=r"^adversary produced losses outside \[0, 1\] or non-finite$"):
+            run_episode(learner, _BadAdversary(value), graph, probs, horizon, seed=0)
+        assert learner.rounds_played == 0
+    with pytest.raises(ContractError, match=r"^adversary produced shape \(5, 3\), expected \(6, 3\)$"):
+        run_episode(learner, FixedShape(np.full((5, 3), 0.5)), graph, probs, 6, seed=0)
+    assert learner.rounds_played == 0
+
+
+class FixedShape:
+    """A custom adversary that serves one table whatever the horizon."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def materialize(self, horizon, num_experts, rng):
+        return self.table
 
 
 @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])

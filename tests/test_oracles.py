@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -336,6 +337,17 @@ def test_bad_argument_rejected_before_any_draw(check, overrides, name):
     result = json.loads(done.stdout)
     assert result["message"].startswith(f"{name} must be {KINDS.get(name, 'an integer >= 1')}")
     assert not result["drew"]
+
+
+@pytest.mark.parametrize(
+    "losses, shape", [([[0.1, 0.2], [0.3]], "ragged"), ([0.1], "(1,)"), ([[0.1, 0.2]], "(1, 2)")]
+)
+def test_losses_of_the_wrong_shape_rejected_before_any_draw(losses, shape):
+    graph, rng = NominalGraph.complete(2), np.random.Generator(np.random.Philox(1))
+    before = rng.bit_generator.state["state"]["counter"].tolist()
+    with pytest.raises(ValueError, match=rf"^need 2 losses, got shape {re.escape(shape)}$"):
+        ip_estimator_checks(graph, EdgeProbabilityTable.constant(graph, 0.5), Pmf(np.array([0.5, 0.5])), losses, 10, rng)
+    assert rng.bit_generator.state["state"]["counter"].tolist() == before
 
 
 def test_numpy_integer_sizes_accepted():

@@ -945,6 +945,7 @@ class TestSnapshotValidation:
             ("exp3", lambda payload: payload["rng"].update(buffer_pos=True), "rng"),
             ("exp3-gr", lambda payload: payload["rng"].update(buffer_pos=4.0), "rng"),
             ("exp3", lambda payload: payload["rng"].update(uinteger=1.5), "rng"),
+            ("exp3", lambda payload: payload["rng"]["state"]["counter"].update({"__array__": []}), "rng"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -969,7 +970,7 @@ class TestSnapshotValidation:
              "up-extra-junk", "ip-extra-junk", "doubling-junk", "config-not-an-object", "extra-not-an-object",
              "algorithm-number", "schedule-not-canonical", "capacity-float", "rng-float-dtype",
              "rng-fractional-counter", "rng-bool-key", "rng-string-buffer", "rng-bool-buffer-pos",
-             "rng-float-buffer-pos", "rng-fractional-uinteger"],
+             "rng-float-buffer-pos", "rng-fractional-uinteger", "rng-empty-counter"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)
