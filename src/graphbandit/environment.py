@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, IngestError, _integer
+from .errors import ContractError, IngestError, _integer, _real
 from .estimator import _skip_doubles
 from .experts import _csv_table
 from .graph import EdgeProbabilityTable, NominalGraph, _check_fits
@@ -122,7 +122,7 @@ class FixedTableAdversary:
 
 def _check_means(gap, base) -> None:
     """The gap adversaries' means: numbers (not bools) with 0 < gap <= base <= 1."""
-    if isinstance(gap, (bool, np.bool_)) or isinstance(base, (bool, np.bool_)) or not 0 < gap <= base <= 1:
+    if not (_real(gap) and _real(base) and 0 < gap <= base <= 1):
         raise ValueError(f"need 0 < gap <= base <= 1, got gap={gap} base={base}")
 
 

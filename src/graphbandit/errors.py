@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one integer check that raises ConfigError."""
+"""Exception types shared across the package, and the integer and real-number checks at its boundaries."""
+
+import numbers
 
 import numpy as np
 
@@ -34,3 +36,8 @@ def _integer(value, name: str, least: int = 1) -> int:
         kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too), not a bool; each caller raises its own error."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import IngestError, _real
 
 __all__ = [
     "NominalGraph",
@@ -142,7 +142,7 @@ class EdgeProbabilityTable:
         edge_probs = probs[graph.adjacency]
         if epsilon is None:
             epsilon = float(edge_probs.min())
-        if isinstance(epsilon, (bool, np.bool_)) or not 0 < epsilon <= 1:
+        if not (_real(epsilon) and 0 < epsilon <= 1):
             raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
         if (edge_probs < epsilon).any():
             raise ValueError("some edge probability is below the stated epsilon")
@@ -150,14 +150,14 @@ class EdgeProbabilityTable:
 
     @classmethod
     def constant(cls, graph: NominalGraph, value: float) -> "EdgeProbabilityTable":
-        if isinstance(value, (bool, np.bool_)) or not 0 < value <= 1:
+        if not (_real(value) and 0 < value <= 1):
             raise ValueError(f"need 0 < p <= 1, got {value}")
         return cls(np.where(graph.adjacency, float(value), 0.0))
 
     @classmethod
     def uniform(cls, graph: NominalGraph, low: float, high: float, rng) -> "EdgeProbabilityTable":
         """Independent per-edge probabilities drawn uniformly from [low, high]."""
-        if isinstance(low, (bool, np.bool_)) or isinstance(high, (bool, np.bool_)) or not 0 < low <= high <= 1:
+        if not (_real(low) and _real(high) and 0 < low <= high <= 1):
             raise ValueError(f"need 0 < low <= high <= 1, got [{low}, {high}]")
         draws = rng.uniform(low, high, size=graph.adjacency.shape)
         return cls(np.where(graph.adjacency, draws, 0.0))

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _integer
+from .errors import _integer, _real
 from .estimator import Pmf, _skip_doubles, sample_positions
 from .graph import EdgeProbabilityTable, NominalGraph
 from .policies import _first_success, _trial_slots, observation_probs
@@ -85,8 +84,7 @@ def _moment(name: str, total: float, total_sq: float, n: int, expected: float) -
 def _unit_float(value, name: str, low: str = "[") -> float:
     """``value`` as a float, if it is a number, not a bool, in [0, 1], or in
     (0, 1] when ``low`` is "("; anything else raises ValueError naming ``name``."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    if not (number and (0 < value <= 1 if low == "(" else 0 <= value <= 1)):
+    if not (_real(value) and (0 < value <= 1 if low == "(" else 0 <= value <= 1)):
         raise ValueError(f"{name} must be a number in {low}0, 1], got {value!r}")
     return float(value)
 

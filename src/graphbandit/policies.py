@@ -16,10 +16,10 @@ Each is Exp3 with exploration over a dominating set, and its settings say how:
 the exploration mass; None splits it uniformly), a loss estimate and, for
 exp3-up and exp3-gr, the class ``_Store`` of the per-edge sample store.
 ``_LearnerBase._choose`` mixes and draws for all five.  ``Exp3IP`` shares by
-expected observations on the revealed table (exp3-ip), on the nominal graph
-with every probability 1 (exp3-dom) or on the self-loop-only bandit graph
-(exp3); only exp3-ip takes the edge-probability table.  Expert indices
-crossing the public interface are 1-based.
+expected observations on the revealed table (exp3-ip) or the nominal graph
+with every probability 1 (exp3-dom); exp3's q is its own pmf, and it explores
+every expert equally.  Only exp3-ip takes the edge-probability table.  Expert
+indices crossing the public interface are 1-based.
 
 A learner's state is plain arrays.  ``run_episode`` hands each round's
 feedback to ``_observe`` as arrays; ``update`` checks a ``FeedbackEvent``
@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .environment import _FEED_BLOCK, FeedbackEvent
-from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError, _integer
+from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError, _integer, _real
 from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
 from .estimator import PMF_TOLERANCE, _cumsum, _max, _min, _softmax, _sum
 
@@ -106,9 +106,9 @@ class LearnerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         object.__setattr__(self, "min_observations", _integer(self.min_observations, "min_observations"))
-        if isinstance(self.confidence_width, (bool, np.bool_)) or not self.confidence_width >= 1:
+        if not (_real(self.confidence_width) and self.confidence_width >= 1):
             raise ConfigError(f"confidence_width must be a number >= 1, got {self.confidence_width!r}")
-        if self.epsilon is not None and (isinstance(self.epsilon, (bool, np.bool_)) or not 0 < self.epsilon <= 1):
+        if self.epsilon is not None and not (_real(self.epsilon) and 0 < self.epsilon <= 1):
             raise ConfigError(f"epsilon must be a number in (0, 1], got {self.epsilon!r}")
         if self.algorithm == "exp3-gr" and isinstance(self.schedule, DoublingSchedule) and self.epsilon is None:
             raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
@@ -125,19 +125,22 @@ def _check_eta(eta: float) -> float:
     return float(eta)
 
 
-def _informed_table(graph: NominalGraph, probs: EdgeProbabilityTable, dominating: VertexSet):
-    """The informed learner's per-(graph, table, dominating set) arrays,
-    computed once: the edge probabilities with 0 on non-edges, the 0-based
-    dominating-set positions and each member's share of their expected
-    observations."""
+def _observation_table(graph: NominalGraph, probs: EdgeProbabilityTable) -> np.ndarray:
+    """``probs``' (K, K) edge probabilities with 0 on ``graph``'s non-edges; raises unless they fit."""
     _check_fits(graph, probs.probs)
-    masked = np.where(graph.adjacency, probs.probs, 0.0)
-    expected = masked.sum(axis=1)
+    return np.where(graph.adjacency, probs.probs, 0.0)
+
+
+def _informed_table(table: np.ndarray, dominating: VertexSet):
+    """The informed learner's exploration over ``dominating``, computed once:
+    its 0-based positions and each member's share of their expected
+    observations, the row sums of the (K, K) observation ``table``."""
+    expected = table.sum(axis=1)
     dom = _positions(dominating)
     total = expected[dom].sum()
     if total <= 0:
         raise InvariantError("dominating set has zero expected observations")
-    return masked, dom, expected[dom] / total
+    return dom, expected[dom] / total
 
 
 def _positions(members: VertexSet) -> np.ndarray:
@@ -157,7 +160,7 @@ def exp3ip_pmf(
     dominating set proportionally to each member's expected number of
     revealed losses.
     """
-    _, dom, share = _informed_table(graph, probs, dominating)
+    dom, share = _informed_table(_observation_table(graph, probs), dominating)
     if weights.log_weights.size != graph.num_experts:
         raise ValueError("weight vector and graph disagree on the number of experts")
     return Pmf(_mix(weights.log_weights, eta, dom, share))
@@ -178,9 +181,7 @@ def observation_probs(pmf: Pmf, graph: NominalGraph, probs: EdgeProbabilityTable
     """Exact probability that each expert's loss gets observed this round:
     entry i-1 sums, over expert i's in-neighbours, selection probability
     times edge probability."""
-    _check_fits(graph, probs.probs)
-    masked = np.where(graph.adjacency, probs.probs, 0.0)
-    return pmf.probs @ masked
+    return pmf.probs @ _observation_table(graph, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -855,12 +856,14 @@ def _read_rng(text, name: str) -> np.random.Generator:
             return obj
         raise ValueError(f"not a uint64 array or a JSON integer: {obj!r}")
 
-    bit_gen = np.random.Philox()
-    try:  # the setter rejects any other generator's state
-        bit_gen.state = conv(_read(text, name, dtype=object))
+    field, generator = _read(text, name, dtype=object), np.random.Generator(np.random.Philox())
+    try:  # the setter rejects any other generator's state, but drops words and keys it does not read
+        generator.bit_generator.state = conv(field)
+        if _encode_rng_state(generator) != field:
+            raise ValueError("it does not encode back to the same state")
     except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"snapshot field {name!r} is not a Philox state: {exc!r}") from None
-    return np.random.Generator(bit_gen)
+    return generator
 
 
 def _read_doubling(text, name: str) -> DoublingState:
@@ -882,19 +885,19 @@ def _read_rings(graph: NominalGraph, text, name: str) -> ResampleBuffer:
 
 class Exp3IP(_LearnerBase):
     """The informed learner: exploration spread over a dominating set by
-    expected observations, and exact importance weights, on the (graph,
-    edge-probability) view its algorithm names: exp3-ip's nominal graph and
-    revealed table; exp3-dom's nominal graph with every probability 1; exp3's
-    self-loop-only bandit graph with probability 1, where only the chosen
-    expert's own observation counts."""
+    expected observations, and exact importance weights, on the observation
+    table ``_masked``: exp3-ip's revealed table, exp3-dom's nominal graph with
+    every probability 1.  exp3's table would be the identity, so it keeps none:
+    its q is its pmf, and all K experts share its exploration, 1/K each."""
 
     def __init__(self, config, graph, probs=None, seed=0):
         super().__init__(config, graph, probs, seed)
         if self.algorithm == "exp3":
-            graph = NominalGraph.bandit(self._k)
-        if self.algorithm != "exp3-ip":
-            probs = EdgeProbabilityTable.constant(graph, 1.0)
-        self._masked, self._dom, self._share = _informed_table(graph, probs, greedy_dominating_set(graph))
+            self._masked, self._dom, self._share = None, np.arange(self._k), np.full(self._k, 1.0 / self._k)
+        else:  # the set first, so that its search's temporaries are freed before the table is built
+            dominating = greedy_dominating_set(graph)
+            self._masked = graph.adjacency.astype(float) if probs is None else _observation_table(graph, probs)
+            self._dom, self._share = _informed_table(self._masked, dominating)
         self._doubling = DoublingState() if isinstance(config.schedule, DoublingSchedule) else None
         self._eta_value = None if self._doubling is None else doubling_eta(0, math.log(self._k))
 
@@ -905,7 +908,7 @@ class Exp3IP(_LearnerBase):
             fired, losses = fired[own], losses[own]
         if not fired.size and self._doubling is None:
             return  # nothing observed: every step below is a no-op
-        q = pmf @ self._masked
+        q = pmf if self._masked is None else pmf @ self._masked  # pmf @ I is pmf, bit for bit
         self._exp_update(eta, fired, _importance_estimates(losses, q[fired]))
         if self._doubling is not None:
             self._doubling, restart, self._eta_value = ip_doubling_step(self._doubling, pmf, q, math.log(self._k))
@@ -925,8 +928,7 @@ class _UninformativeBase(_LearnerBase):
     def __init__(self, config, graph, probs=None, seed=0):
         super().__init__(config, graph, probs, seed)
         self._store = self._Store(graph)  # entering the first epoch sets its floor
-        self._dominating = greedy_dominating_set(graph)
-        self._dom = _positions(self._dominating)
+        self._dom = _positions(greedy_dominating_set(graph))
         self._explore_counts = np.zeros(self._k, dtype=np.int64)
         self._explore_cursor = 0
         first = up_start_epoch(self._k) if self.algorithm == "exp3-up" else 0

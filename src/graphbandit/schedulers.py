@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _real
 
 __all__ = [
     "DoublingState",
@@ -44,7 +44,7 @@ class FixedEta:
     eta: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.eta) and 0 < self.eta < 1):
+        if not (_real(self.eta) and 0 < self.eta < 1):  # NaN and +-inf fail too
             raise ConfigError(f"fixed eta must be in (0, 1), got {self.eta}")
 
 

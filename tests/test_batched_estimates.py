@@ -243,7 +243,7 @@ def test_exp3gr_snapshot_text_and_resume_are_unchanged(name):
         learner.update(realize_feedback(graph, table, pick, losses, feedback_rng, t=t))
     assert learner.snapshot() == recorded["snapshot"]
     if name == "doubling":  # the buffers have grown, after rings had wrapped
-        _, first_capacity = gr_doubling_params(0, 3, len(learner._dominating), 1.0)
+        _, first_capacity = gr_doubling_params(0, 3, learner._dom.size, 1.0)
         assert learner.buffers.capacity > first_capacity
 
     restored = load_snapshot(recorded["snapshot"], graph)

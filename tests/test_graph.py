@@ -17,7 +17,7 @@ from graphbandit.graph import (
     independence_number,
     load_graph_file,
 )
-from graphbandit.policies import _informed_table
+from graphbandit.policies import _informed_table, _observation_table
 
 
 class TestConstruction:
@@ -206,8 +206,8 @@ class TestIndependenceNumber:
 
 
 def expected_observations(graph, probs, i):
-    """Expected losses revealed when i is chosen: row i of the learners' masked table, summed."""
-    return _informed_table(graph, probs, greedy_dominating_set(graph))[0].sum(axis=1)[i - 1]
+    """Expected losses revealed when i is chosen: row i of the learners' observation table, summed."""
+    return _observation_table(graph, probs).sum(axis=1)[i - 1]
 
 
 class TestExpectedObservations:
@@ -226,6 +226,13 @@ class TestExpectedObservations:
         g = NominalGraph.complete(2)
         p = EdgeProbabilityTable.from_probs(g, np.array([[0.5, 0.5], [0.3, 0.9]]))
         assert expected_observations(g, p, 2) == pytest.approx(1.2)
+
+    def test_exploration_shares_follow_expected_observations(self):
+        g = NominalGraph.complete(2)
+        p = EdgeProbabilityTable.from_probs(g, np.array([[0.5, 0.5], [0.3, 0.9]]))
+        dom, share = _informed_table(_observation_table(g, p), VertexSet((2, 1)))
+        assert dom.tolist() == [1, 0]
+        assert share.tolist() == pytest.approx([1.2 / 2.2, 1.0 / 2.2])
 
 
 class TestProbabilityTableValues:

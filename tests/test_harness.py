@@ -17,7 +17,7 @@ from graphbandit.harness import (
     run_experiment,
 )
 from graphbandit.policies import LearnerConfig, make_learner
-from graphbandit.schedulers import InverseSqrtEta
+from graphbandit.schedulers import FixedEta, InverseSqrtEta
 
 
 def small_config(**overrides):
@@ -123,6 +123,36 @@ class TestConfigValidation:
     def test_integer_fields_checked_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: LearnerConfig("exp3-up", confidence_width="2"), ConfigError, "^confidence_width must be a number"),
+            (lambda: LearnerConfig("exp3-up", confidence_width=None), ConfigError, "^confidence_width must be a number"),
+            (lambda: LearnerConfig("exp3-gr", epsilon="0.5"), ConfigError, "^epsilon must be a number"),
+            (lambda: small_config(confidence_width="2"), ConfigError, "^confidence_width must be a number"),
+            (lambda: small_config(confidence_width=None), ConfigError, "^confidence_width must be a number"),
+            (lambda: small_config(epsilon="0.5"), ConfigError, "^epsilon must be a number"),
+            (lambda: FixedEta("0.3"), ConfigError, r"^fixed eta must be in \(0, 1\)"),
+            (lambda: FixedEta(None), ConfigError, r"^fixed eta must be in \(0, 1\)"),
+            (lambda: StochasticGapAdversary(gap="0.1"), ValueError, "^need 0 < gap <= base <= 1, got gap=0.1 "),
+            (lambda: StochasticGapAdversary(gap=None), ValueError, "^need 0 < gap <= base <= 1, got gap=None "),
+            (lambda: SwitchingAdversary(0.1, period=3, base="1"), ValueError, "^need 0 < gap <= base <= 1"),
+            (lambda: EdgeProbabilityTable.constant(NominalGraph.complete(2), "0.5"), ValueError, "^need 0 < p <= 1"),
+            (lambda: EdgeProbabilityTable.from_probs(NominalGraph.complete(2), np.full((2, 2), 0.5), epsilon="0.1"),
+             ValueError, r"^epsilon must be in \(0, 1\]"),
+            (lambda: EdgeProbabilityTable.uniform(NominalGraph.complete(2), "0.1", 0.5, np.random.default_rng(0)),
+             ValueError, "^need 0 < low <= high <= 1"),
+        ],
+        ids=["width-string", "width-none", "epsilon-string", "experiment-width-string", "experiment-width-none",
+             "experiment-epsilon-string", "fixed-eta-string", "fixed-eta-none", "gap-string", "gap-none",
+             "base-string", "constant-string", "from-probs-epsilon-string", "uniform-low-string"],
+    )
+    def test_non_numbers_at_the_numeric_boundaries(self, build, error, message):
+        """A value that is not a real number raises the site's own error, naming the field, not a TypeError."""
+        with pytest.raises(ValueError, match=message) as raised:
+            build()
+        assert raised.type is error
 
     def test_numpy_integer_fields_stored_as_int(self):
         cfg = small_config(horizon=np.int64(20), runs=np.int32(2), seed=np.uint8(3))

@@ -1,11 +1,17 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphbandit import graph as graph_module
+from graphbandit import policies
 from graphbandit.environment import (
     FeedbackEvent,
     StochasticGapAdversary,
@@ -25,6 +31,8 @@ from graphbandit.policies import (
     LearnerConfig,
     ProbabilityEstimatorState,
     ResampleBuffer,
+    _informed_table,
+    _observation_table,
     _resampled_estimates,
     _mix,
     estimated_observation_prob,
@@ -642,17 +650,22 @@ class TestLearnerBehavior:
 
 
 class TestReductionToClassicExp3:
-    def test_identical_trajectories_on_certain_bandit_graph(self):
+    @pytest.mark.parametrize("schedule", [InverseSqrtEta(), DoublingSchedule()])
+    def test_identical_trajectories_on_certain_bandit_graph(self, schedule):
+        """exp3 takes q = pmf, exp3-dom and exp3-ip pmf @ I: the same rounds,
+        bit-equal weights and the same doubling state."""
         g = NominalGraph.bandit(4)
         ones = constant_table(g, 1.0)
         adv = StochasticGapAdversary(gap=0.2)
-        chosen = {}
+        chosen, learners = {}, {}
         for algorithm in ("exp3", "exp3-dom", "exp3-ip"):
             probs = ones if algorithm == "exp3-ip" else None
-            learner = make_learner(LearnerConfig(algorithm, InverseSqrtEta()), g, probs=probs)
+            learner = learners[algorithm] = make_learner(LearnerConfig(algorithm, schedule), g, probs=probs)
             chosen[algorithm] = run_episode(learner, adv, g, ones, 300, seed=17).chosen
-        np.testing.assert_array_equal(chosen["exp3"], chosen["exp3-dom"])
-        np.testing.assert_array_equal(chosen["exp3"], chosen["exp3-ip"])
+        for other in ("exp3-dom", "exp3-ip"):
+            np.testing.assert_array_equal(chosen["exp3"], chosen[other])
+            assert learners["exp3"]._log_weights.tobytes() == learners[other]._log_weights.tobytes()
+            assert learners["exp3"]._doubling == learners[other]._doubling
 
     def test_uninformative_mixing_matches_classic_form_on_bandit(self):
         # On the self-loop graph the dominating set is everyone, so the
@@ -662,6 +675,63 @@ class TestReductionToClassicExp3:
         pmf = uniform_mix_pmf(w.log_weights, 0.25, dom.members)
         linear = np.exp(w.log_weights)
         np.testing.assert_allclose(pmf, 0.75 * linear / linear.sum() + 0.25 / 3, rtol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 300])
+    def test_exp3_explores_as_the_bandit_graphs_informed_learner(self, k):
+        """exp3's exploration positions and shares equal, bit for bit, what the
+        informed learner computes on the self-loop-only graph with probability 1."""
+        bandit = NominalGraph.bandit(k)
+        dom, share = _informed_table(_observation_table(bandit, constant_table(bandit, 1.0)),
+                                     greedy_dominating_set(bandit))
+        learner = make_learner(LearnerConfig("exp3"), NominalGraph.complete(k))
+        assert learner._masked is None
+        np.testing.assert_array_equal(learner._dom, dom)
+        assert learner._share.tobytes() == share.tobytes()
+
+    def test_exp3_set_up_builds_no_graph_table_or_dominating_set(self):
+        """exp3 builds no NominalGraph, no EdgeProbabilityTable, no dominating set
+        and no (K, K) array; exp3-dom builds no EdgeProbabilityTable."""
+        def refuse(owner, name):
+            return mock.patch.object(owner, name, side_effect=AssertionError(f"{name} was called"))
+
+        ring = NominalGraph.from_edges(200, [(i, i) for i in range(1, 201)] + [(i, i % 200 + 1) for i in range(1, 201)])
+        with refuse(EdgeProbabilityTable, "__post_init__"):
+            learner = make_learner(LearnerConfig("exp3-dom"), ring)
+        assert learner._masked.tobytes() == np.where(ring.adjacency, 1.0, 0.0).tobytes()
+
+        k = 2000
+        complete = NominalGraph.complete(k)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            with refuse(EdgeProbabilityTable, "__post_init__"), refuse(NominalGraph, "__post_init__"), \
+                    refuse(policies, "greedy_dominating_set"), refuse(graph_module, "greedy_dominating_set"):
+                tracemalloc.reset_peak()
+                entry = tracemalloc.get_traced_memory()[0]
+                learner = make_learner(LearnerConfig("exp3"), complete)
+                peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert learner._masked is None
+        assert peak < k * k, f"set-up peak {peak} bytes, K^2 = {k * k}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pmf_times_identity_is_the_pmf_bit_for_bit(data):
+    """exp3 takes q = pmf where the bandit graph's table would give pmf @ I:
+    each entry of the product is one exact product plus exact +0.0 terms.
+    The pmfs are the learners' mixed ones, with zero entries where a weight
+    underflows and exploration does not reach."""
+    k = data.draw(st.integers(1, 300), label="k")
+    gaps = st.one_of(st.floats(-50.0, 0.0), st.floats(-2000.0, -746.0))  # exp of the second kind is 0
+    log_weights = np.array(data.draw(st.lists(gaps, min_size=k, max_size=k), label="log_weights"))
+    eta = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), label="eta")
+    members = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True), label="dom")
+    pmf = Pmf(_mix(log_weights - log_weights.max(), eta, np.array(members), None)).probs
+    assert (pmf @ np.eye(k)).tobytes() == pmf.tobytes()
 
 
 class TestDoublingIntegration:
@@ -946,6 +1016,9 @@ class TestSnapshotValidation:
             ("exp3-gr", lambda payload: payload["rng"].update(buffer_pos=4.0), "rng"),
             ("exp3", lambda payload: payload["rng"].update(uinteger=1.5), "rng"),
             ("exp3", lambda payload: payload["rng"]["state"]["counter"].update({"__array__": []}), "rng"),
+            ("exp3-ip", lambda payload: payload["rng"]["state"]["key"]["__array__"].append(0), "rng"),
+            ("exp3-gr", lambda payload: payload["rng"]["state"]["counter"]["__array__"].append(0), "rng"),
+            ("exp3", lambda payload: payload["rng"].update(junk=1), "rng"),
         ],
         ids=["up-short-explore", "gr-long-explore", "counts-rows", "sums-ragged", "sums-above-counts",
              "sums-negative", "ring-sample-2", "ring-sample-negative", "up-cursor-past-k", "gr-cursor-at-k",
@@ -970,7 +1043,8 @@ class TestSnapshotValidation:
              "up-extra-junk", "ip-extra-junk", "doubling-junk", "config-not-an-object", "extra-not-an-object",
              "algorithm-number", "schedule-not-canonical", "capacity-float", "rng-float-dtype",
              "rng-fractional-counter", "rng-bool-key", "rng-string-buffer", "rng-bool-buffer-pos",
-             "rng-float-buffer-pos", "rng-fractional-uinteger", "rng-empty-counter"],
+             "rng-float-buffer-pos", "rng-fractional-uinteger", "rng-empty-counter", "rng-long-key",
+             "rng-long-counter", "rng-extra-key"],
     )
     def test_tampered_field_rejected(self, algorithm, tamper, field):
         payload = snapshot_payload(algorithm)

@@ -94,7 +94,16 @@ def test_bad_loss_through_update(algorithm, value):
 
 def subnormal_q(learner):
     """Make every observation probability ``learner`` divides by subnormal:
-    the informed learners' table, or exp3-up's divisors after each record."""
+    exp3's q, its own pmf, as its estimate reads it through the module's
+    ``_importance_estimates``; the other informed learners' table; or exp3-up's
+    divisors after each record."""
+    if learner.algorithm == "exp3":
+        estimates = policies._importance_estimates
+
+        def subnormal(losses, q):
+            return estimates(losses, np.full_like(q, SUBNORMAL))
+
+        return mock.patch.object(policies, "_importance_estimates", subnormal)
     if learner.algorithm != "exp3-up":
         learner._masked = np.where(learner._masked > 0, SUBNORMAL, 0.0)
         return contextlib.nullcontext()
