@@ -10,14 +10,12 @@ consume identical learner streams.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, IngestError, _integer, _real
-from .estimator import _skip_doubles
 from .experts import _csv_table
 from .graph import EdgeProbabilityTable, NominalGraph, _check_fits
 
@@ -34,8 +32,6 @@ __all__ = [
 
 LOSS_STREAM, FEEDBACK_STREAM, LEARNER_STREAM, PROBS_STREAM = range(4)
 
-# Doubles an episode draws from its feedback stream at a time: 32 KB.
-_FEED_BLOCK = 4_096
 # Doubles of a loss table drawn, or summed (``harness``), at a time: 256 KB.
 _TABLE_BLOCK = 1 << 15
 
@@ -246,47 +242,34 @@ def _fire(
 
 
 class _Feedback:
-    """An episode's activations: the values, and with ``close`` the final
-    ``rng`` state, of one ``_fire`` call per round, as ``Generator.random``
-    does not depend on how its output is chunked.  A copy of ``rng`` draws
-    ``_FEED_BLOCK`` doubles at a time; ``close`` moves ``rng`` past those
-    used.  Edges are in row-major order: a source's are contiguous."""
+    """An episode's activations, read from ``rng`` as one ``_fire`` call per
+    round reads them, with the per-source probability rows and edge offsets
+    built once.  Edges are in row-major order: a source's are contiguous."""
 
     def __init__(self, graph: NominalGraph, probs: EdgeProbabilityTable, rng: np.random.Generator):
         _check_fits(graph, probs.probs)
-        self._rng, self._reader = rng, copy.deepcopy(rng)
-        self._block, self._pos, self._drawn = np.empty(0), 0, 0
+        self._rng = rng
         self._out = graph.out_positions
         self._degree = graph.adjacency.sum(axis=1)
         self._first_edge = np.cumsum(self._degree) - self._degree
         self._edge_probs = probs.probs[graph.adjacency]
         self._rows = np.split(self._edge_probs, self._first_edge[1:])
 
-    def _take(self, n: int) -> np.ndarray:
-        lo = self._pos
-        if lo + n > self._block.size:  # the unread rest, then a block, or as much as a long run needs
-            rest = self._block[lo:]
-            fresh = self._reader.random(max(_FEED_BLOCK, n - rest.size))
-            self._block, lo, self._drawn = np.concatenate((rest, fresh)), 0, self._drawn + fresh.size
-        self._pos = lo + n
-        return self._block[lo : lo + n]
-
     def fire(self, chosen: int) -> tuple[np.ndarray, np.ndarray]:
         """``_fire(graph, probs, chosen, rng)``."""
         out = self._out[chosen - 1]
-        hits = self._take(out.size) < self._rows[chosen - 1]
+        hits = self._rng.random(out.size) < self._rows[chosen - 1]
         return out[hits], hits
 
     def fire_run(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_fire``'s hit masks for rounds that choose the 1-based ``picks``
-        in turn, concatenated, and where each round's mask starts."""
+        in turn, concatenated, and where each round's mask starts: one draw
+        for the run, as ``Generator.random`` does not depend on how its
+        output is chunked."""
         lengths = self._degree[picks - 1]
         starts = np.cumsum(lengths) - lengths
         edges = np.arange(lengths.sum()) + np.repeat(self._first_edge[picks - 1] - starts, lengths)
-        return self._take(edges.size) < self._edge_probs[edges], starts
-
-    def close(self) -> None:
-        _skip_doubles(self._rng, self._drawn - (self._block.size - self._pos))
+        return self._rng.random(edges.size) < self._edge_probs[edges], starts
 
 
 def _event(t: int, chosen: int, fired: np.ndarray, losses: np.ndarray) -> FeedbackEvent:
@@ -314,13 +297,15 @@ def run_episode(
     index, the fired positions, their losses and the hit mask over the
     chosen expert's out-positions); any other object with ``select``/``update``
     gets a ``FeedbackEvent``, as from ``realize_feedback``.  The activations
-    come from ``_Feedback``.
+    come from ``_Feedback``, which reads the feedback stream directly: the
+    values and the stream's final state are those of one ``_fire`` call per
+    round.
 
     exp3-up and exp3-gr play each run of forced-exploration rounds as one
     block (``_explore_run``), until the deficit is paid, the doubling epoch
-    ends, ``_FEED_BLOCK`` rounds or the horizon: choices as ``select`` makes
-    them, one draw of the activations (``_Feedback.fire_run``), one record
-    per explored expert.  Forced rounds read no losses and leave the weights
+    ends, ``policies._MAX_FORCED_RUN`` rounds or the horizon: choices as
+    ``select`` makes them, one draw of the activations
+    (``_Feedback.fire_run``), one record per explored expert.  Forced rounds read no losses and leave the weights
     and the learner's generator alone, so everything ends as with one round
     at a time.
     """
@@ -355,7 +340,6 @@ def run_episode(
             t += 1
         incurred[lo - 1 : end - 1] = block[np.arange(block.shape[0]), chosen[lo - 1 : end - 1] - 1]
         lo = end
-    feedback.close()
     return RunTrace(incurred=incurred, chosen=chosen, adversary=adversary, num_experts=graph.num_experts, seed=seed)
 
 

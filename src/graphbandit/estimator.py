@@ -37,8 +37,6 @@ __all__ = [
 
 # Construction renormalizes drift below this; anything larger is a real bug.
 PMF_TOLERANCE = 1e-9
-# Values drawn per discarded block by ``_skip_doubles`` on a generator without ``advance``.
-_SKIP_BLOCK = 65_536
 # The ufunc reductions the round kernels call directly: ``a.sum()``,
 # ``a.min()``, ``a.max()`` and ``a.cumsum()`` run the same loops (so give the
 # same bits on a 1-d array) behind a Python-level wrapper.
@@ -178,31 +176,6 @@ def sample_index(pmf: Pmf, rng: np.random.Generator) -> int:
 def sample_positions(pmf: Pmf, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Inverse-CDF sampler of 0-based positions; one, from a scalar draw, when ``n`` is None."""
     return _invert_cdf(_cdf(pmf.probs), rng.random(n))
-
-
-def _skip_doubles(rng: np.random.Generator, n: int) -> None:
-    """Move ``rng`` to the state ``rng.random(n)`` would leave, where each
-    double takes one 64-bit output.  Philox drains its 4-value buffer, steps
-    its counter and draws the rest; PCG64 and PCG64DXSM step; a generator
-    without ``advance`` draws and discards ``_SKIP_BLOCK`` values at a time."""
-    bitgen = rng.bit_generator
-    if not hasattr(bitgen, "advance"):
-        for lo in range(0, n, _SKIP_BLOCK):
-            rng.random(min(_SKIP_BLOCK, n - lo))
-        return
-    before = bitgen.state
-    if "buffer_pos" not in before:
-        bitgen.advance(n)
-    else:
-        head = min(n, 4 - before["buffer_pos"])
-        rng.random(head)
-        if n > head:  # a counter step yields four doubles; the last step's are drawn, to fill the buffer
-            steps = (n - head - 1) // 4
-            bitgen.advance(steps)
-            rng.random(n - head - 4 * steps)
-    after = bitgen.state  # advance clears the cached 32-bit half, which doubles leave alone
-    after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
-    bitgen.state = after
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:

@@ -19,12 +19,15 @@ where another key ties its first hit's goes through exp3-gr's argsort
 kernels, ``_trial_slots`` and ``_first_success``.  The tests'
 ``test_trial_counts_are_exp3_gr_counts`` checks the counts against exp3-gr's.
 
-A chunk's random arrays are drawn and used ``_TRIAL_BLOCK`` repetitions at a
-time, each region of its stream read through a generator copy at the
-region's offset: the results and the caller's final generator state are
-those of whole-chunk arrays.  Memory is bounded by one block, plus one
-value per repetition of a chunk, not by ``draws``; on a one-expert graph
-the ip checks hold a whole chunk's (chunk, 1) arrays, to keep their sums.
+Both checks lay the stream out in chunks of ``_CHUNK`` repetitions, a fixed
+constant: the seeded suite's outputs depend on it.  A chunk's random arrays
+are drawn and used ``_TRIAL_BLOCK`` repetitions at a time, each region of its
+stream read through a generator copy at the region's offset
+(``_skip_doubles`` moves the caller's generator past it): the results and
+the caller's final generator state are those of whole-chunk arrays.  Memory
+is bounded by one block, plus one value per repetition of a chunk, not by
+``draws``; on a one-expert graph the ip checks hold a whole chunk's
+(``_CHUNK``, 1) arrays, to keep their sums.
 """
 
 from __future__ import annotations
@@ -36,12 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _integer, _real
-from .estimator import Pmf, _skip_doubles, sample_positions
+from .estimator import Pmf, sample_positions
 from .graph import EdgeProbabilityTable, NominalGraph
 from .policies import _first_success, _trial_slots, observation_probs
 
 __all__ = ["MomentCheck", "ip_estimator_checks", "resampling_checks", "default_suite"]
 
+# Repetitions per chunk: a chunk's stream holds each of its regions whole, one after another.
+_CHUNK = 200_000
+# Values drawn per discarded block by ``_skip_doubles`` on a generator without ``advance``.
+_SKIP_BLOCK = 65_536
 # Repetitions drawn and used per block.  From 4,096 up, glibc returned a
 # block's arrays to the OS after each block (7x the page faults of
 # whole-chunk arrays, ~15% slower); at 2,048 the heap reuses them.
@@ -89,6 +96,31 @@ def _unit_float(value, name: str, low: str = "[") -> float:
     return float(value)
 
 
+def _skip_doubles(rng: np.random.Generator, n: int) -> None:
+    """Move ``rng`` to the state ``rng.random(n)`` would leave, where each
+    double takes one 64-bit output.  Philox drains its 4-value buffer, steps
+    its counter and draws the rest; PCG64 and PCG64DXSM step; a generator
+    without ``advance`` draws and discards ``_SKIP_BLOCK`` values at a time."""
+    bitgen = rng.bit_generator
+    if not hasattr(bitgen, "advance"):
+        for lo in range(0, n, _SKIP_BLOCK):
+            rng.random(min(_SKIP_BLOCK, n - lo))
+        return
+    before = bitgen.state
+    if "buffer_pos" not in before:
+        bitgen.advance(n)
+    else:
+        head = min(n, 4 - before["buffer_pos"])
+        rng.random(head)
+        if n > head:  # a counter step yields four doubles; the last step's are drawn, to fill the buffer
+            steps = (n - head - 1) // 4
+            bitgen.advance(steps)
+            rng.random(n - head - 4 * steps)
+    after = bitgen.state  # advance clears the cached 32-bit half, which doubles leave alone
+    after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+    bitgen.state = after
+
+
 def _reader(rng: np.random.Generator, size: int) -> np.random.Generator:
     """A copy of ``rng`` at the start of the next ``size`` doubles in its
     stream; ``rng`` moves past them."""
@@ -104,7 +136,6 @@ def ip_estimator_checks(
     losses,
     draws: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> list[MomentCheck]:
     """Simulate the informative-setting estimate for every arm.
 
@@ -112,8 +143,7 @@ def ip_estimator_checks(
     independently, and importance-weights every observed loss by its exact
     observation probability.  Returns first- and second-moment checks per arm.
     """
-    draws, chunk = _integer(draws, "draws"), _integer(chunk, "chunk")
-    k = graph.num_experts
+    draws, k = _integer(draws, "draws"), graph.num_experts
     try:
         shape = np.shape(losses)
     except ValueError:  # numpy refuses a ragged nest
@@ -125,10 +155,10 @@ def ip_estimator_checks(
     ratio = losses / q
     sums = np.zeros((3, k))  # est, est^2, est^4
     # A (rows, 1) column sums pairwise, which a carried partial cannot continue.
-    block = _TRIAL_BLOCK if k > 1 else chunk
+    block = _TRIAL_BLOCK if k > 1 else _CHUNK
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
+        m = min(_CHUNK, draws - done)
         choices = _reader(rng, m)  # rng moves on to the activations
         part = np.empty((3, k))  # each row's sum over the chunk, carried across blocks in row order
         for lo in range(0, m, block):
@@ -173,7 +203,6 @@ def resampling_checks(
     loss: float,
     draws: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> tuple[MomentCheck, MomentCheck]:
     """Simulate the resampling pipeline on a one-expert self-loop graph whose
     activation probability is ``q``, with fresh window contents per draw.
@@ -188,12 +217,12 @@ def resampling_checks(
     E[Q] = (1 - (1-q)^M) / q and E[l_tilde] = (1 - (1-q)^M) * l.
     """
     q, loss = _unit_float(q, "q", low="("), _unit_float(loss, "loss")
-    draws, chunk, window = _integer(draws, "draws"), _integer(chunk, "chunk"), _integer(window, "window")
+    draws, window = _integer(draws, "draws"), _integer(window, "window")
     sum_q = sum_q2 = 0.0
     sum_l = sum_l2 = 0.0
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
+        m = min(_CHUNK, draws - done)
         size = m * window
         windows = _reader(rng, size)
         _skip_doubles(rng, size)  # the trials' expert draws: a one-expert pmf never reads them

@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .environment import _FEED_BLOCK, FeedbackEvent
+from .environment import FeedbackEvent
 from .errors import ConfigError, ContractError, InvariantError, PhaseOrderError, ProtocolError, _integer, _real
 from .estimator import Pmf, WeightVector, _cdf, _exp_weight_step, _importance_estimates, _invert_cdf, _normalized
 from .estimator import PMF_TOLERANCE, _cumsum, _max, _min, _softmax, _sum
@@ -83,6 +83,8 @@ __all__ = [
 ALGORITHMS = ("exp3", "exp3-dom", "exp3-ip", "exp3-up", "exp3-gr")
 
 _NO_CHOICES = np.empty(0, dtype=np.int64)
+# Forced-exploration rounds that one ``_explore_run`` call plays at most.
+_MAX_FORCED_RUN = 4_096
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,9 @@ class LearnerConfig:
             raise ConfigError(f"confidence_width must be a number >= 1, got {self.confidence_width!r}")
         if self.epsilon is not None and not (_real(self.epsilon) and 0 < self.epsilon <= 1):
             raise ConfigError(f"epsilon must be a number in (0, 1], got {self.epsilon!r}")
+        object.__setattr__(self, "confidence_width", float(self.confidence_width))  # numpy's too: snapshots are JSON
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.algorithm == "exp3-gr" and isinstance(self.schedule, DoublingSchedule) and self.epsilon is None:
             raise ConfigError("exp3-gr with the doubling schedule needs epsilon (edge-probability lower bound)")
 
@@ -984,7 +989,7 @@ class _UninformativeBase(_LearnerBase):
 
     def _explore_run(self, t: int, horizon: int, graph: NominalGraph, fire) -> np.ndarray:
         """Play the forced rounds from round ``t`` on, up to the deficit, the
-        epoch's end, ``_FEED_BLOCK`` rounds and ``horizon``, as one block;
+        epoch's end, ``_MAX_FORCED_RUN`` rounds and ``horizon``, as one block;
         returns their 1-based choices (none when round t is not forced).  Each is
         chosen as ``select(t, graph)`` would; ``fire`` is the episode's
         ``environment._Feedback.fire_run``, and each source's rows are
@@ -993,7 +998,7 @@ class _UninformativeBase(_LearnerBase):
             return _NO_CHOICES  # no round owed and no restart due to raise the floor
         self._check_turn(t, graph)
         self._advance_epochs(t)
-        n = min(self._deficit, horizon - t + 1, _FEED_BLOCK)
+        n = min(self._deficit, horizon - t + 1, _MAX_FORCED_RUN)
         if self._epoch is not None:
             n = min(n, 2 ** (self._epoch + 1) - t + 1)
         picks = np.empty(n, dtype=np.int64)

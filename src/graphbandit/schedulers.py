@@ -46,6 +46,7 @@ class FixedEta:
     def __post_init__(self) -> None:
         if not (_real(self.eta) and 0 < self.eta < 1):  # NaN and +-inf fail too
             raise ConfigError(f"fixed eta must be in (0, 1), got {self.eta}")
+        object.__setattr__(self, "eta", float(self.eta))  # numpy's too: ``format_schedule`` writes its repr
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
-"""run_episode reads the feedback stream in blocks of ``_FEED_BLOCK``
-doubles through a copy of the generator, then moves the generator past
-the doubles it used.  Against the per-round loop of ``test_forced_runs``
-(one ``_fire`` call per round on the generator itself), at horizons whose
-draws span more than two blocks, on a complete graph and on a seeded
-sparse graph of varying out-degree, for every learner and schedule: equal
-choices and incurred losses, equal snapshot text and an equal final
-feedback-generator state.
+"""run_episode reads the feedback stream through ``_Feedback``: one draw per
+pmf-driven round and one per forced-exploration run of up to
+``policies._MAX_FORCED_RUN`` rounds.  Against the per-round loop of
+``test_forced_runs`` (one ``_fire`` call per round), at horizons whose draws
+exceed ``DRAWS`` doubles, on a complete graph and on a seeded sparse graph
+of varying out-degree, for every learner and schedule: equal choices and
+incurred losses, equal snapshot text and an equal final feedback-generator
+state.
 """
 
 import numpy as np
 import pytest
 from test_forced_runs import SCHEDULES, block_episode, per_round_episode, same_state
 
-from graphbandit.environment import _FEED_BLOCK, StochasticGapAdversary
+from graphbandit.environment import StochasticGapAdversary
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph
 from graphbandit.policies import ALGORITHMS, LearnerConfig, make_learner
 
@@ -28,6 +28,8 @@ def sparse_graph(seed: int, k: int = 7) -> NominalGraph:
 
 # K <= 7 keeps the informed learners' first doubling rate, sqrt(ln K / 2), at or below 1.
 GRAPHS = {"complete": NominalGraph.complete(6), "sparse": sparse_graph(11)}
+# Doubles drawn at least: the horizon then spans several doubling epochs on either graph.
+DRAWS = 8_192
 
 
 def outcome(episode, algorithm, schedule, graph, probs, horizon):
@@ -47,12 +49,12 @@ def test_block_reads_equal_per_round_draws(algorithm, schedule, graph_name):
     graph = GRAPHS[graph_name]
     probs = EdgeProbabilityTable.uniform(graph, 0.2, 1.0, np.random.default_rng(3))
     degree = graph.adjacency.sum(axis=1)
-    horizon = 2 * _FEED_BLOCK // int(degree.min()) + 1  # every round draws at least the smallest out-degree
+    horizon = DRAWS // int(degree.min()) + 1  # every round draws at least the smallest out-degree
     block = outcome(block_episode, algorithm, schedule, graph, probs, horizon)
     reference = outcome(per_round_episode, algorithm, schedule, graph, probs, horizon)
     assert len(block) == len(reference) == 4, (block, reference)
     chosen, incurred, feedback, snapshot = block
-    assert degree[chosen - 1].sum() > 2 * _FEED_BLOCK
+    assert degree[chosen - 1].sum() > DRAWS
     assert chosen.tobytes() == reference[0].tobytes()
     assert incurred.tobytes() == reference[1].tobytes()
     assert same_state(feedback, reference[2])

@@ -6,7 +6,7 @@
   equal per-edge statistics, equal generator states and identical snapshot
   text, under every schedule and across doubling restarts.
 * One multi-row ``_record(source, hits[n, d])`` on either sample store
-  equals n one-row calls, so capping a run at ``_FEED_BLOCK`` rounds, or
+  equals n one-row calls, so capping a run at ``_MAX_FORCED_RUN`` rounds, or
   running it across the loss table's row blocks, changes nothing.
 """
 

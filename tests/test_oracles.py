@@ -14,10 +14,18 @@ import pytest
 
 import graphbandit
 
-from graphbandit.estimator import _SKIP_BLOCK, Pmf, WeightVector, _invert_cdf, _skip_doubles, sample_positions
+from graphbandit.estimator import Pmf, WeightVector, _invert_cdf, sample_positions
 from graphbandit.graph import EdgeProbabilityTable, NominalGraph, greedy_dominating_set
 from graphbandit import oracles
-from graphbandit.oracles import _TRIAL_BLOCK, _moment, _trial_counts, ip_estimator_checks, resampling_checks
+from graphbandit.oracles import (
+    _SKIP_BLOCK,
+    _TRIAL_BLOCK,
+    _moment,
+    _skip_doubles,
+    _trial_counts,
+    ip_estimator_checks,
+    resampling_checks,
+)
 from graphbandit.policies import (
     ResampleBuffer,
     _first_success,
@@ -138,7 +146,8 @@ def sparse_ip_inputs():
 
 GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
 # (draws, chunk): one draw, either side of one and of two blocks, past one
-# default chunk; chunks smaller than a block, and draws not a multiple of the chunk.
+# default chunk; chunks smaller than a block, and draws not a multiple of the
+# chunk.  The suite's chunk is ``oracles._CHUNK``, patched for each shape.
 SHAPES = [
     (1, 200_000),
     (_TRIAL_BLOCK - 1, 200_000),
@@ -155,12 +164,13 @@ class TestBlockedDrawsMatchWholeArrays:
     @pytest.mark.parametrize("draws, chunk", SHAPES)
     @pytest.mark.parametrize("generator", GENERATORS)
     @pytest.mark.parametrize("inputs", [*(f"complete-{k}" for k in range(1, 6)), "sparse-6"])
-    def test_ip_estimator_checks(self, inputs, generator, draws, chunk):
+    def test_ip_estimator_checks(self, monkeypatch, inputs, generator, draws, chunk):
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
         args = sparse_ip_inputs() if inputs == "sparse-6" else suite_ip_inputs(int(inputs.split("-")[1]))
         rng, ref = (np.random.Generator(GENERATORS[generator](3)) for _ in range(2))
         for g in (rng, ref):
             g.random(3)  # start mid-way through a Philox buffer
-        assert ip_estimator_checks(*args, draws, rng, chunk=chunk) == reference_ip_estimator_checks(
+        assert ip_estimator_checks(*args, draws, rng) == reference_ip_estimator_checks(
             *args, draws, ref, chunk=chunk
         )
         assert state_of(rng) == state_of(ref)
@@ -168,11 +178,12 @@ class TestBlockedDrawsMatchWholeArrays:
     @pytest.mark.parametrize("draws, chunk", SHAPES)
     @pytest.mark.parametrize("generator", GENERATORS)
     @pytest.mark.parametrize("q, window", [(0.5, 5), (0.1, 1)])
-    def test_resampling_checks(self, q, window, generator, draws, chunk):
+    def test_resampling_checks(self, monkeypatch, q, window, generator, draws, chunk):
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
         rng, ref = (np.random.Generator(GENERATORS[generator](4)) for _ in range(2))
         for g in (rng, ref):
             g.random(1)
-        assert resampling_checks(q, window, 0.8, draws, rng, chunk=chunk) == reference_resampling_checks(
+        assert resampling_checks(q, window, 0.8, draws, rng) == reference_resampling_checks(
             q, window, 0.8, draws, ref, chunk=chunk
         )
         assert state_of(rng) == state_of(ref)
@@ -270,12 +281,12 @@ check, overrides = sys.argv[1], json.loads(sys.argv[2])
 rng = np.random.Generator(np.random.Philox(1))
 before = rng.bit_generator.state["state"]["counter"].tolist()
 if check == "resampling":
-    kwargs = dict(q=0.5, window=5, loss=0.5, draws=10, rng=rng, chunk=4)
+    kwargs = dict(q=0.5, window=5, loss=0.5, draws=10, rng=rng)
     kwargs.update(overrides)
     call = lambda: resampling_checks(**kwargs)
 else:
     graph = NominalGraph.complete(2)
-    kwargs = dict(losses=[0.1, 0.2], draws=10, chunk=4)
+    kwargs = dict(losses=[0.1, 0.2], draws=10)
     kwargs.update(overrides)
     call = lambda: ip_estimator_checks(graph, EdgeProbabilityTable.constant(graph, 0.5), Pmf(np.array([0.5, 0.5])),
                                        rng=rng, **kwargs)
@@ -297,13 +308,10 @@ KINDS = {"q": "a number in (0, 1]", "loss": "a number in [0, 1]", "loss 1": "a n
         ("resampling", {"draws": 0}, "draws"),
         ("resampling", {"draws": -3}, "draws"),
         ("resampling", {"window": 0}, "window"),
-        ("resampling", {"chunk": 0}, "chunk"),
         ("ip", {"draws": 0}, "draws"),
-        ("ip", {"chunk": 0}, "chunk"),
         ("resampling", {"draws": 10.5}, "draws"),
         ("resampling", {"window": 2.5}, "window"),
         ("resampling", {"draws": True}, "draws"),
-        ("ip", {"chunk": 4.5}, "chunk"),
         ("ip", {"draws": True}, "draws"),
         ("resampling", {"q": True}, "q"),
         ("resampling", {"q": "0.5"}, "q"),
@@ -316,14 +324,14 @@ KINDS = {"q": "a number in (0, 1]", "loss": "a number in [0, 1]", "loss 1": "a n
         ("ip", {"losses": [True, 0.2]}, "loss 1"),
         ("ip", {"losses": ["0.5", 0.2]}, "loss 1"),
     ],
-    ids=["resampling-draws-0", "resampling-draws-negative", "resampling-window-0", "resampling-chunk-0",
-         "ip-draws-0", "ip-chunk-0", "resampling-draws-fractional", "resampling-window-fractional",
-         "resampling-draws-bool", "ip-chunk-fractional", "ip-draws-bool", "resampling-q-bool",
+    ids=["resampling-draws-0", "resampling-draws-negative", "resampling-window-0",
+         "ip-draws-0", "resampling-draws-fractional", "resampling-window-fractional",
+         "resampling-draws-bool", "ip-draws-bool", "resampling-q-bool",
          "resampling-q-string", "resampling-loss-nan", "resampling-loss-2", "resampling-loss-string",
          "resampling-loss-bool", "ip-loss-nan", "ip-loss-3", "ip-loss-bool", "ip-loss-string"],
 )
 def test_bad_argument_rejected_before_any_draw(check, overrides, name):
-    # In a subprocess with a timeout: a zero chunk used to loop forever.
+    # In a subprocess with a timeout: a bad size must not loop forever.
     src = str(Path(graphbandit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
@@ -352,10 +360,9 @@ def test_losses_of_the_wrong_shape_rejected_before_any_draw(losses, shape):
 
 def test_numpy_integer_sizes_accepted():
     graph = NominalGraph.complete(2)
-    sizes = dict(draws=np.int64(10), chunk=np.int64(4))
     checks = ip_estimator_checks(graph, EdgeProbabilityTable.constant(graph, 0.5), Pmf(np.array([0.5, 0.5])),
-                                 [0.1, 0.2], rng=np.random.default_rng(1), **sizes)
-    checks += resampling_checks(0.5, np.int64(5), 0.5, rng=np.random.default_rng(1), **sizes)
+                                 [0.1, 0.2], draws=np.int64(10), rng=np.random.default_rng(1))
+    checks += resampling_checks(0.5, np.int64(5), 0.5, draws=np.int64(10), rng=np.random.default_rng(1))
     assert [type(check.draws) for check in checks] == [int] * len(checks)
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -468,6 +469,42 @@ class TestLearnerConfig:
         with pytest.raises(ConfigError, match=r"^exp3-gr with the doubling schedule needs epsilon"):
             LearnerConfig("exp3-gr", DoublingSchedule())
 
+    @pytest.mark.parametrize("real", [np.float64, np.float32])
+    def test_numpy_fixed_rate_snapshot_round_trips(self, real):
+        config = LearnerConfig("exp3", FixedEta(real(0.3)))
+        assert type(config.schedule.eta) is float
+        g = NominalGraph.complete(3)
+        learner = make_learner(config, g, seed=1)
+        drive(learner, g, constant_table(g, 0.5), np.full(3, 0.5), 5)
+        text = learner.snapshot()
+        assert load_snapshot(text, g).snapshot() == text
+
+    @pytest.mark.parametrize(
+        "algorithm, field, value", [("exp3-up", "confidence_width", 2.0), ("exp3-gr", "epsilon", 0.5)],
+        ids=["width", "epsilon"],
+    )
+    @pytest.mark.parametrize("real", [np.float64, np.float32])
+    def test_numpy_width_and_epsilon_snapshot_round_trips(self, algorithm, field, value, real):
+        config = LearnerConfig(algorithm, DoublingSchedule(), min_observations=3, **{field: real(value)})
+        assert type(getattr(config, field)) is float
+        g = NominalGraph.complete(3)
+        learner = make_learner(config, g, seed=1)
+        drive(learner, g, constant_table(g, 0.5), np.full(3, 0.5), 5)
+        text = learner.snapshot()
+        assert load_snapshot(text, g).snapshot() == text
+
+    def test_integer_width_in_an_older_snapshot_still_loads(self):
+        """Snapshots once wrote an int width as it was given, ``2``; they now write ``2.0``."""
+        g = NominalGraph.complete(3)
+        learner = make_learner(LearnerConfig("exp3-up", FixedEta(0.3), min_observations=3, confidence_width=2), g)
+        drive(learner, g, constant_table(g, 0.5), np.full(3, 0.5), 12)
+        text = learner.snapshot()
+        assert text.count('"confidence_width": 2.0') == 2  # the config's and the learner's own
+        old = text.replace('"confidence_width": 2.0', '"confidence_width": 2')
+        restored = load_snapshot(old, g)
+        assert restored.confidence_width == 2.0
+        assert restored.snapshot() == text
+
 
 class TestSettingsRows:
     """Each algorithm name is a row of settings on one of three classes."""
@@ -803,6 +840,50 @@ class TestDoublingIntegration:
         drive(learner, g, constant_table(g, 0.9), np.array([0.2, 0.8]), 6)
         learner._enter_epoch(None)
         assert not learner._exploring()
+
+
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_uninformative_restart_resets_weights_at_the_crossing_select(self, algorithm):
+        g = NominalGraph.complete(2)
+        learner = make_learner(LearnerConfig(algorithm, DoublingSchedule(), epsilon=0.5), g, seed=1)
+        table, fb_rng = constant_table(g, 0.9), np.random.default_rng(1)
+        crossings_with_weights = 0
+        for t in range(1, 401):
+            crossing = t > 2 ** (learner._epoch + 1)
+            moved = bool(np.any(learner.weights.log_weights != 0))
+            pick = learner.select(t, g)
+            if crossing:
+                np.testing.assert_array_equal(learner.weights.log_weights, np.zeros(2))
+                crossings_with_weights += moved
+            learner.update(realize_feedback(g, table, pick, np.array([0.2, 0.8]), fb_rng, t=t))
+        assert crossings_with_weights  # a restart found weights to reset
+
+
+class TestEstimatesReadEarlierRounds:
+    """A pmf round's estimates read the sample store as it stood before the
+    round: its own activations are recorded after the weight step."""
+
+    @pytest.mark.parametrize("algorithm", ["exp3-up", "exp3-gr"])
+    def test_weight_step_uses_the_store_before_the_round(self, algorithm):
+        g = NominalGraph.complete(2)
+        learner = make_learner(LearnerConfig(algorithm, FixedEta(0.3), min_observations=4), g, seed=3)
+        losses = np.array([0.2, 0.8])
+        for t in range(1, 9):  # forced rounds in which nothing fires: every stored activation is 0
+            learner.update(FeedbackEvent(t=t, chosen=learner.select(t, g), observed=(), incurred_loss=0.5))
+        for t in range(9, 15):  # pmf rounds in which every edge fires
+            pick = learner.select(t, g)
+            assert learner.last_pmf is not None
+            before = copy.deepcopy(learner)
+            pmf = before.last_pmf
+            learner.update(FeedbackEvent(t=t, chosen=pick, observed=((1, 0.2), (2, 0.8)), incurred_loss=0.5))
+            if algorithm == "exp3-up":
+                state, width = before.estimator_state, before.confidence_width
+                estimates = losses / np.array([estimated_observation_prob(pmf, g, state, width, 4, i) for i in (1, 2)])
+            else:  # the trials draw from the learner's generator as it stood before the round
+                trials = [geometric_resample(i, pmf, g, before.buffers, 4, before._rng) for i in (1, 2)]
+                estimates = losses * np.array(trials)
+            expected = before.weights.log_weights - 0.3 * estimates
+            np.testing.assert_allclose(learner.weights.log_weights, expected - expected.max(), rtol=1e-12, atol=1e-15)
 
 
 def drive_from(learner, graph, probs, losses, start, rounds, seed=99):

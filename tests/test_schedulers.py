@@ -50,6 +50,15 @@ class TestUpDoublingParams:
         assert m == M_UP_K4_B5
         assert xi == pytest.approx(XI_K4_B5, rel=1e-4)
 
+    # (b, K, M) by hand from M = ceil(2^(2(b+1)/3) / sqrt(K) + ln 4K), where ln 2K would give M - 1:
+    # ceil(2^(8/3)/sqrt 2 + ln 8) = ceil(4.4898 + 2.0794) = 7 (ln 4: 5.876 -> 6);
+    # ceil(2^(10/3)/sqrt 5 + ln 20) = ceil(4.5076 + 2.9957) = 8 (ln 10: 6.810 -> 7);
+    # ceil(2^(14/3)/3 + ln 36) = ceil(8.4661 + 3.5835) = 13 (ln 18: 11.356 -> 12);
+    # ceil(2^6/sqrt 50 + ln 200) = ceil(9.0510 + 5.2983) = 15 (ln 100: 13.656 -> 14).
+    @pytest.mark.parametrize("b, k, m", [(3, 2, 7), (4, 5, 8), (6, 9, 13), (8, 50, 15)])
+    def test_sample_floor_by_hand(self, b, k, m):
+        assert up_doubling_params(b, k)[1] == m
+
     def test_start_epoch_guard(self):
         assert up_start_epoch(4) == 2
         with pytest.raises(ValueError, match="start epoch"):
